@@ -12,31 +12,45 @@
 //!
 //! # Construction
 //!
-//! The BFS is **level-synchronised** and built from four phases per level,
-//! so the expensive work parallelises over the whole frontier while every
-//! order-sensitive effect stays serial:
+//! The BFS is **level-synchronised**. Each level is stepped in
+//! [`AbsOptions::level_chunk`]-sized batches of frontier states, which
+//! bounds the transient scratch (pre-instances, stepped successors) of a
+//! wide level; every batch runs four phases, so the expensive work
+//! parallelises while every order-sensitive effect stays serial:
 //!
-//! 1. *enumerate* (parallel): per frontier state, legal assignments,
-//!    `DO(I, ασ)` pre-instances, and the equality commitments of the new
-//!    calls — none of which touch the constant pool; a parallel *census*
-//!    pass also builds each frontier state's value-occurrence census
-//!    ([`dcds_reldata::SigCensus`]) so successor signatures can be derived
-//!    incrementally instead of from scratch;
+//! 1. *enumerate* (parallel): per frontier state, its query index, legal
+//!    assignments, `DO(I, ασ)` pre-instances, and the equality commitments
+//!    of the new calls — none of which touch the constant pool; a parallel
+//!    *census* pass also builds each frontier state's value-occurrence
+//!    census ([`dcds_reldata::SigCensus`]) so successor signatures can be
+//!    derived incrementally instead of from scratch;
 //! 2. *mint* (serial, frontier order): instantiate each commitment's fresh
 //!    cells from the shared [`ConstantPool`] — the exact mint sequence a
 //!    serial loop would produce;
 //! 3. *step* (parallel, over all `(state, ασ, commitment)` tasks):
 //!    [`det_step_with_pre`], the successor's [`Facts`] encoding, its
 //!    invariant signature — derived from the source state's census by the
-//!    fact diff — and, when the level-start index already has a matching
-//!    signature bucket, its canonical key;
+//!    fact diff — and, when the class index already has a matching
+//!    signature group, its canonical key;
 //! 4. *merge* (serial, task order): deduplicate against the class index,
 //!    allocate state ids, record edges, apply the state budget.
 //!
-//! Because phases 2 and 4 replay the serial engine's effect order exactly,
-//! the output (`Ts`, states, outcome, pool) is **bit-identical for every
-//! thread count** — `dcds_core::par::par_map` returns results in input
-//! order regardless of scheduling. The determinism tests assert this.
+//! Because phases 2 and 4 run in global frontier/task order whatever the
+//! batch size, the output (`Ts`, states, outcome, pool, counters) is
+//! **bit-identical for every thread count and every `level_chunk`** —
+//! `dcds_core::par::par_map` returns results in input order regardless of
+//! scheduling. The determinism tests assert this.
+//!
+//! # Two state sinks, one BFS
+//!
+//! Admitted classes go to a state sink. [`det_abstraction_opts`] keeps
+//! them as owned structures — a [`Ts`] of instances, every `⟨I, M⟩` state,
+//! and every class's fact encoding. [`det_abstraction_compact_opts`] keeps
+//! them in a [`StateStore`] instead: each state is a delta over its parent,
+//! every fact payload is interned once, and only the frontier's `⟨I, M⟩`
+//! structures are alive at a time. The BFS, the class index and therefore
+//! every decision and counter are shared, so the two results agree exactly
+//! (`compact.ts.to_ts() == owned.ts`).
 //!
 //! # Deduplication
 //!
@@ -59,10 +73,15 @@ use dcds_core::do_op::{
     state_index, PreInstance,
 };
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{enumerate_commitments, ActionId, CommitTarget, Commitment, Dcds, StateId, Ts};
+use dcds_core::{
+    enumerate_commitments, ActionId, CommitTarget, Commitment, CompactTs, Dcds, StateId, Ts,
+};
 use dcds_folang::Assignment;
 use dcds_obs::{event, span, Obs};
-use dcds_reldata::{CanonKey, CanonStats, ConstantPool, Facts, SigCensus, Value};
+use dcds_reldata::{
+    CanonKey, CanonStats, ConstantPool, FactId, Facts, SigCensus, StateRef, StateStore, Value,
+};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 /// Whether an abstraction construction saturated.
@@ -88,6 +107,23 @@ pub struct DetAbstraction {
     /// construction minted (needed to display the states).
     pub pool: ConstantPool,
     /// Observability counters (exact and thread-count independent).
+    pub counters: EngineCounters,
+}
+
+/// The deterministic abstraction over the compact state store. Compared to
+/// [`DetAbstraction`] there is no `states: Vec<DetState>` — retaining every
+/// `⟨I, M⟩` state as an owned structure is exactly what the store exists
+/// to avoid. The full fact encoding of any state is still available
+/// through [`CompactTs::store`].
+#[derive(Debug)]
+pub struct CompactDetAbstraction {
+    /// The abstract transition system, states in the store.
+    pub ts: CompactTs,
+    /// Saturated or truncated.
+    pub outcome: AbsOutcome,
+    /// The constant pool extended with minted representatives.
+    pub pool: ConstantPool,
+    /// Engine counters — identical to the owned run's.
     pub counters: EngineCounters,
 }
 
@@ -117,12 +153,10 @@ pub struct AbsOptions {
     /// hits — the pre-fast-path cost model, kept as an ablation baseline
     /// for the benchmark harness. Output is identical either way.
     pub eager_keys: bool,
-    /// Frontier states stepped per batch inside one BFS level of the
-    /// compact engine. Bounds the transient per-level scratch
-    /// (pre-instances, stepped successors) without altering any output:
-    /// all serial decisions still run in global frontier/task order.
-    /// Ignored by the legacy (owned-instance) engines. `0` is treated
-    /// as `1`.
+    /// Frontier states stepped per batch inside one BFS level. Bounds the
+    /// transient per-level scratch (pre-instances, stepped successors)
+    /// without altering any output: all serial decisions still run in
+    /// global frontier/task order. `0` is treated as `1`.
     pub level_chunk: usize,
 }
 
@@ -164,188 +198,6 @@ pub fn det_abstraction_with(
     )
 }
 
-/// One signature's isomorphism classes, split by key status.
-#[derive(Debug, Default)]
-pub(crate) struct SigGroup {
-    /// Every member class, in insertion order — the scan order of the
-    /// [`DedupStrategy::PairwiseIso`] ablation.
-    pub(crate) members: Vec<usize>,
-    /// Admitted without a key attempt; lazily keyed (once, ever) when a
-    /// keyed probe first collides with this signature.
-    pub(crate) unkeyed: Vec<usize>,
-    /// Number of members whose key lives in the exact-match map.
-    pub(crate) keyed: u64,
-}
-
-/// Fold one canonical-key computation into the engine counters.
-pub(crate) fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
-    counters.canon_keys_computed += 1;
-    counters.canon_orders_enumerated += stats.orders_enumerated;
-    counters.canon_prune_cutoffs += stats.prune_cutoffs;
-}
-
-/// Publish the `canon.*` metrics stanza — pruning effectiveness per run,
-/// alongside the `abs.*` counters [`EngineCounters::publish`] emits.
-pub(crate) fn publish_canon(obs: &Obs, counters: &EngineCounters) {
-    obs.counter_add("canon.keys_computed", counters.canon_keys_computed);
-    obs.counter_add("canon.orders_enumerated", counters.canon_orders_enumerated);
-    obs.counter_add("canon.prune_cutoffs", counters.canon_prune_cutoffs);
-}
-
-/// Index of the isomorphism classes seen so far: an exact-match map over
-/// canonical keys in front of signature groups.
-///
-/// Canonical keys are computed lazily: a class admitted through an empty
-/// signature group never pays for canonicalisation unless a later probe
-/// collides with its signature. Keyed classes are found with **one hash
-/// probe** of the global `exact` map — equal keys imply isomorphism,
-/// index classes are pairwise non-isomorphic, and isomorphic fact sets
-/// share a signature, so at most one class can match and a hit is always
-/// inside the probe's own signature group. The pruned key search succeeds
-/// on every input, so under `CanonicalKey` each class is keyed at most
-/// once, ever, and no probe falls back to the backtracking matcher.
-///
-/// Counter semantics (uniform across both [`DedupStrategy`] variants):
-/// every probe credits `iso_checks_avoided` with the classes the
-/// signature filter excluded (`total − |group|`; all of them when the
-/// group is empty, which also counts one `sig_filter_skips`). Under
-/// `CanonicalKey` a keyed probe additionally credits one avoided check
-/// per keyed group member (the exact-map probe stands in for comparing
-/// against each of them), `canon_keys_computed` counts every key search
-/// exactly once (with `canon_orders_enumerated` / `canon_prune_cutoffs`
-/// summing the search effort), and `iso_checks_performed` counts each
-/// backtracking-matcher call of the `PairwiseIso` ablation.
-struct ClassIndex {
-    strategy: DedupStrategy,
-    rigid: BTreeSet<Value>,
-    /// Per class: the fact encoding (probe target for the matchers).
-    class_facts: Vec<Facts>,
-    /// Canonical key → class, global across signatures.
-    exact: HashMap<CanonKey, usize>,
-    /// Signature → its classes, grouped by key status.
-    groups: HashMap<u64, SigGroup>,
-}
-
-impl ClassIndex {
-    fn new(strategy: DedupStrategy, rigid: BTreeSet<Value>) -> Self {
-        ClassIndex {
-            strategy,
-            rigid,
-            class_facts: Vec::new(),
-            exact: HashMap::new(),
-            groups: HashMap::new(),
-        }
-    }
-
-    /// Is this signature's group non-empty? (Workers consult the
-    /// level-start snapshot to decide whether to canonicalise eagerly.)
-    fn bucket_occupied(&self, sig: u64) -> bool {
-        self.groups.get(&sig).is_some_and(|g| !g.members.is_empty())
-    }
-
-    /// Find the class of `facts`, if already present. `probe_key` carries a
-    /// key a worker may have computed speculatively (`None` = not
-    /// attempted); the slot is filled in if the merge has to compute one,
-    /// so a subsequent [`ClassIndex::insert`] can reuse it.
-    fn find(
-        &mut self,
-        facts: &Facts,
-        sig: u64,
-        probe_key: &mut Option<CanonKey>,
-        counters: &mut EngineCounters,
-    ) -> Option<usize> {
-        let ClassIndex {
-            strategy,
-            rigid,
-            class_facts,
-            exact,
-            groups,
-        } = self;
-        let total = class_facts.len() as u64;
-        let Some(group) = groups.get_mut(&sig).filter(|g| !g.members.is_empty()) else {
-            // The signature proves the class is new: every resident
-            // class's pairwise check is avoided, under both strategies.
-            counters.sig_filter_skips += 1;
-            counters.iso_checks_avoided += total;
-            return None;
-        };
-        // The signature filter rules out every class outside this group.
-        counters.iso_checks_avoided += total - group.members.len() as u64;
-        if *strategy == DedupStrategy::PairwiseIso {
-            for &ix in &group.members {
-                counters.iso_checks_performed += 1;
-                if class_facts[ix].isomorphic(facts, rigid) {
-                    return Some(ix);
-                }
-            }
-            return None;
-        }
-        // CanonicalKey strategy: materialise the probe's key on first need.
-        if probe_key.is_none() {
-            let (k, stats) = facts.canonical_key_stats(rigid);
-            credit_canon(counters, stats);
-            *probe_key = Some(k);
-        }
-        let pk = probe_key.as_ref().unwrap();
-        // Key every unkeyed resident of the group — each at most once over
-        // the whole construction — so the exact-map probe below replaces a
-        // scan of the group.
-        for ix in std::mem::take(&mut group.unkeyed) {
-            let (ck, stats) = class_facts[ix].canonical_key_stats(rigid);
-            credit_canon(counters, stats);
-            exact.insert(ck, ix);
-            group.keyed += 1;
-        }
-        // One hash probe stands in for a key comparison against every
-        // keyed member of the group.
-        counters.iso_checks_avoided += group.keyed;
-        exact.get(pk).copied()
-    }
-
-    /// Admit a new class. `probe_key` is whatever [`ClassIndex::find`] (or
-    /// a worker) computed — possibly nothing, which is the signature fast
-    /// path's whole point.
-    fn insert(&mut self, facts: Facts, sig: u64, probe_key: Option<CanonKey>) {
-        let ix = self.class_facts.len();
-        self.class_facts.push(facts);
-        let group = self.groups.entry(sig).or_default();
-        group.members.push(ix);
-        match probe_key {
-            Some(k) => {
-                self.exact.insert(k, ix);
-                group.keyed += 1;
-            }
-            None => group.unkeyed.push(ix),
-        }
-    }
-}
-
-/// What the parallel enumeration phase computes per `(state, ασ)`: the
-/// action, its assignment, the pre-instance, and the equality commitments
-/// over the not-yet-mapped calls.
-type EnumeratedStep = (ActionId, Assignment, PreInstance, Vec<Commitment>);
-
-/// One phase-3 task: a `(frontier state, ασ, commitment)` triple with its
-/// minted evaluation choice.
-struct StepTask<'a> {
-    frontier_ix: usize,
-    source: StateId,
-    pre: &'a PreInstance,
-    choice: std::collections::BTreeMap<dcds_core::ServiceCall, Value>,
-}
-
-/// A stepped successor awaiting the serial merge: the state, its facts,
-/// its signature, and the eagerly-computed canonical key with the search
-/// stats the merge will account for in task order.
-pub(crate) type SteppedChild = (DetState, Facts, u64, Option<(CanonKey, CanonStats)>);
-
-/// The outcome of one phase-3 task.
-struct StepResult {
-    source: StateId,
-    /// `None` when the commitment representative violates the constraints.
-    next: Option<SteppedChild>,
-}
-
 /// [`det_abstraction`] with explicit options. Output is identical for
 /// every `opts.threads` value (including 1); see the module docs.
 pub fn det_abstraction_opts(dcds: &Dcds, max_states: usize, opts: AbsOptions) -> DetAbstraction {
@@ -366,6 +218,374 @@ pub fn det_abstraction_traced(
     opts: AbsOptions,
     obs: &Obs,
 ) -> DetAbstraction {
+    let run = det_bfs(dcds, max_states, opts, obs, |s0, f0| {
+        let sink = OwnedSink {
+            ts: Ts::new(s0.instance.clone()),
+            states: vec![s0],
+            class_facts: vec![f0],
+        };
+        (sink, StateId::from_index(0))
+    });
+    DetAbstraction {
+        ts: run.sink.ts,
+        states: run.sink.states,
+        outcome: run.outcome,
+        pool: run.pool,
+        counters: run.counters,
+    }
+}
+
+/// [`det_abstraction_opts`] with the states kept in the compact state
+/// store; see the module docs.
+pub fn det_abstraction_compact_opts(
+    dcds: &Dcds,
+    max_states: usize,
+    opts: AbsOptions,
+) -> CompactDetAbstraction {
+    det_abstraction_compact_traced(dcds, max_states, opts, &Obs::disabled())
+}
+
+/// [`det_abstraction_compact_opts`] with an observability handle: the
+/// spans, events and metrics of [`det_abstraction_traced`] plus the
+/// `store.*` gauge family.
+pub fn det_abstraction_compact_traced(
+    dcds: &Dcds,
+    max_states: usize,
+    opts: AbsOptions,
+    obs: &Obs,
+) -> CompactDetAbstraction {
+    let num_rels = dcds.data.schema.len() as u32;
+    let run = det_bfs(dcds, max_states, opts, obs, |s0, f0| {
+        let mut store = StateStore::new();
+        let r0 = store.insert(None, &f0).state;
+        let sink = StoreSink {
+            store,
+            refs: vec![r0],
+            succ: vec![Vec::new()],
+            resolved_parent: None,
+        };
+        (sink, (StateId::from_index(0), s0))
+    });
+    let sink = run.sink;
+    CompactDetAbstraction {
+        ts: CompactTs::from_parts(sink.store, sink.refs, sink.succ, num_rels),
+        outcome: run.outcome,
+        pool: run.pool,
+        counters: run.counters,
+    }
+}
+
+/// Where the BFS keeps the classes it admits. Class `i` is state `i`.
+trait StateSink: Sync {
+    /// A frontier entry: enough to reach the state's `⟨I, M⟩` structure
+    /// while its level is being expanded.
+    type Entry: Sync;
+    fn id(entry: &Self::Entry) -> StateId;
+    fn state<'a>(&'a self, entry: &'a Self::Entry) -> &'a DetState;
+    fn num_states(&self) -> usize;
+    /// The fact encoding of a resident class (lazy keys and the pairwise
+    /// matcher).
+    fn class_facts(&self, class: usize) -> Cow<'_, Facts>;
+    /// Admit a new class stepped from `source`; its id is the old
+    /// [`StateSink::num_states`].
+    fn admit(&mut self, source: StateId, state: DetState, facts: Facts) -> Self::Entry;
+    /// Record an edge; `false` when it was already present.
+    fn add_edge(&mut self, from: StateId, to: StateId) -> bool;
+    /// Publish sink-specific gauges after a level.
+    fn publish(&self, _obs: &Obs) {}
+}
+
+/// Owned sink: a [`Ts`] of instances, every `⟨I, M⟩` state, and every
+/// class's fact encoding.
+struct OwnedSink {
+    ts: Ts,
+    states: Vec<DetState>,
+    class_facts: Vec<Facts>,
+}
+
+impl StateSink for OwnedSink {
+    type Entry = StateId;
+
+    fn id(entry: &StateId) -> StateId {
+        *entry
+    }
+
+    fn state<'a>(&'a self, entry: &'a StateId) -> &'a DetState {
+        &self.states[entry.index()]
+    }
+
+    fn num_states(&self) -> usize {
+        self.ts.num_states()
+    }
+
+    fn class_facts(&self, class: usize) -> Cow<'_, Facts> {
+        Cow::Borrowed(&self.class_facts[class])
+    }
+
+    fn admit(&mut self, _source: StateId, state: DetState, facts: Facts) -> StateId {
+        let id = self.ts.add_state(state.instance.clone());
+        self.states.push(state);
+        self.class_facts.push(facts);
+        id
+    }
+
+    fn add_edge(&mut self, from: StateId, to: StateId) -> bool {
+        let new = !self.ts.successors(from).contains(&to);
+        self.ts.add_edge(from, to);
+        new
+    }
+}
+
+/// Store sink: each state a delta over its parent in a [`StateStore`];
+/// frontier entries carry the transient `⟨I, M⟩` structure.
+struct StoreSink {
+    store: StateStore,
+    refs: Vec<StateRef>,
+    succ: Vec<Vec<StateId>>,
+    /// Children of one parent arrive consecutively: the parent's resolved
+    /// fact ids are reused for the whole group.
+    resolved_parent: Option<(StateId, Vec<FactId>)>,
+}
+
+impl StateSink for StoreSink {
+    type Entry = (StateId, DetState);
+
+    fn id(entry: &Self::Entry) -> StateId {
+        entry.0
+    }
+
+    fn state<'a>(&'a self, entry: &'a Self::Entry) -> &'a DetState {
+        &entry.1
+    }
+
+    fn num_states(&self) -> usize {
+        self.refs.len()
+    }
+
+    fn class_facts(&self, class: usize) -> Cow<'_, Facts> {
+        Cow::Owned(self.store.facts(self.refs[class]))
+    }
+
+    fn admit(&mut self, source: StateId, state: DetState, facts: Facts) -> Self::Entry {
+        let parent_ref = self.refs[source.index()];
+        if self.resolved_parent.as_ref().map(|(s, _)| *s) != Some(source) {
+            self.resolved_parent = Some((source, self.store.resolve(parent_ref)));
+        }
+        let (_, parent_ids) = self
+            .resolved_parent
+            .as_ref()
+            .expect("parent resolved just above");
+        let ins = self.store.insert_child(parent_ref, parent_ids, &facts);
+        debug_assert!(!ins.existing, "new iso class duplicates a stored state");
+        let id = StateId::from_index(self.refs.len());
+        self.refs.push(ins.state);
+        self.succ.push(Vec::new());
+        (id, state)
+    }
+
+    fn add_edge(&mut self, from: StateId, to: StateId) -> bool {
+        let out = &mut self.succ[from.index()];
+        let new = !out.contains(&to);
+        if new {
+            out.push(to);
+        }
+        new
+    }
+
+    fn publish(&self, obs: &Obs) {
+        publish_store_gauges(obs, &self.store);
+    }
+}
+
+/// Publish the store's high-water marks. Called from serial phases only,
+/// so the gauges are bit-identical at every thread count.
+pub(crate) fn publish_store_gauges(obs: &Obs, store: &StateStore) {
+    let stats = store.stats();
+    obs.gauge_max("store.bytes", stats.bytes as i64);
+    obs.gauge_max("store.facts_interned", stats.facts_interned as i64);
+    obs.gauge_max("store.delta_states", stats.delta_states as i64);
+}
+
+/// One signature's isomorphism classes.
+#[derive(Debug, Default)]
+struct SigGroup {
+    /// Every member class, in insertion order — the scan order of the
+    /// [`DedupStrategy::PairwiseIso`] ablation.
+    members: Vec<usize>,
+    /// Admitted without a key attempt; lazily keyed (once, ever) when a
+    /// keyed probe first collides with this signature.
+    unkeyed: Vec<usize>,
+}
+
+/// Fold one canonical-key computation into the engine counters.
+fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
+    counters.canon_keys_computed += 1;
+    counters.canon_orders_enumerated += stats.orders_enumerated;
+    counters.canon_prune_cutoffs += stats.prune_cutoffs;
+}
+
+/// Index of the isomorphism classes seen so far: an exact-match map over
+/// canonical keys in front of signature groups. Class `i` is the `i`-th
+/// insertion; the index holds no fact payloads — a probe that needs a
+/// resident class's facts asks the state sink for them.
+///
+/// Canonical keys are computed lazily: a class admitted through an empty
+/// signature group never pays for canonicalisation unless a later probe
+/// collides with its signature. Keyed classes are found with **one hash
+/// probe** of the global `exact` map — equal keys imply isomorphism,
+/// index classes are pairwise non-isomorphic, and isomorphic fact sets
+/// share a signature, so at most one class can match and a hit is always
+/// inside the probe's own signature group. The pruned key search succeeds
+/// on every input, so under `CanonicalKey` each class is keyed at most
+/// once, ever, and no probe falls back to the backtracking matcher.
+///
+/// Counter semantics: a probe whose signature group is empty counts one
+/// `sig_filter_skips` under both [`DedupStrategy`] variants. Under
+/// `CanonicalKey`, `canon_keys_computed` counts every key search exactly
+/// once (with `canon_orders_enumerated` / `canon_prune_cutoffs` summing
+/// the search effort); `iso_checks_performed` counts each
+/// backtracking-matcher call of the `PairwiseIso` ablation.
+struct ClassIndex {
+    strategy: DedupStrategy,
+    rigid: BTreeSet<Value>,
+    /// Number of classes inserted so far.
+    classes: usize,
+    /// Canonical key → class, global across signatures.
+    exact: HashMap<CanonKey, usize>,
+    /// Signature → its classes, grouped by key status.
+    groups: HashMap<u64, SigGroup>,
+}
+
+impl ClassIndex {
+    fn new(strategy: DedupStrategy, rigid: BTreeSet<Value>) -> Self {
+        ClassIndex {
+            strategy,
+            rigid,
+            classes: 0,
+            exact: HashMap::new(),
+            groups: HashMap::new(),
+        }
+    }
+
+    /// Is this signature's group non-empty? (Workers consult it to decide
+    /// whether to canonicalise eagerly.)
+    fn bucket_occupied(&self, sig: u64) -> bool {
+        self.groups.get(&sig).is_some_and(|g| !g.members.is_empty())
+    }
+
+    /// Find the class of `facts`, if already present. `probe_key` carries a
+    /// key a worker may have computed speculatively (`None` = not
+    /// attempted); the slot is filled in if the merge has to compute one,
+    /// so a subsequent [`ClassIndex::insert`] can reuse it. `class_facts`
+    /// returns a resident class's fact encoding.
+    fn find<'f>(
+        &mut self,
+        facts: &Facts,
+        sig: u64,
+        probe_key: &mut Option<CanonKey>,
+        counters: &mut EngineCounters,
+        class_facts: impl Fn(usize) -> Cow<'f, Facts>,
+    ) -> Option<usize> {
+        let ClassIndex {
+            strategy,
+            rigid,
+            exact,
+            groups,
+            ..
+        } = self;
+        let Some(group) = groups.get_mut(&sig).filter(|g| !g.members.is_empty()) else {
+            // The signature proves the class is new.
+            counters.sig_filter_skips += 1;
+            return None;
+        };
+        if *strategy == DedupStrategy::PairwiseIso {
+            for &ix in &group.members {
+                counters.iso_checks_performed += 1;
+                if class_facts(ix).isomorphic(facts, rigid) {
+                    return Some(ix);
+                }
+            }
+            return None;
+        }
+        // CanonicalKey strategy: materialise the probe's key on first need.
+        let probe_key = probe_key.get_or_insert_with(|| {
+            let (k, stats) = facts.canonical_key_stats(rigid);
+            credit_canon(counters, stats);
+            k
+        });
+        // Key every unkeyed resident of the group — each at most once over
+        // the whole construction — so the exact-map probe below replaces a
+        // scan of the group.
+        for ix in std::mem::take(&mut group.unkeyed) {
+            let (ck, stats) = class_facts(ix).canonical_key_stats(rigid);
+            credit_canon(counters, stats);
+            exact.insert(ck, ix);
+        }
+        exact.get(probe_key).copied()
+    }
+
+    /// Admit the next class. `probe_key` is whatever [`ClassIndex::find`]
+    /// (or a worker) computed — possibly nothing, which is the signature
+    /// fast path's whole point.
+    fn insert(&mut self, sig: u64, probe_key: Option<CanonKey>) {
+        let ix = self.classes;
+        self.classes += 1;
+        let group = self.groups.entry(sig).or_default();
+        group.members.push(ix);
+        match probe_key {
+            Some(k) => {
+                self.exact.insert(k, ix);
+            }
+            None => group.unkeyed.push(ix),
+        }
+    }
+}
+
+/// What the parallel enumeration phase computes per `(state, ασ)`: the
+/// action, its assignment, the pre-instance, and the equality commitments
+/// over the not-yet-mapped calls.
+type EnumeratedStep = (ActionId, Assignment, PreInstance, Vec<Commitment>);
+
+/// One phase-3 task: a `(frontier state, ασ, commitment)` triple with its
+/// minted evaluation choice.
+struct StepTask<'a> {
+    /// Index into the current batch of frontier states.
+    frontier_ix: usize,
+    source: StateId,
+    pre: &'a PreInstance,
+    choice: std::collections::BTreeMap<dcds_core::ServiceCall, Value>,
+}
+
+/// A stepped successor awaiting the serial merge: the state, its facts,
+/// its signature, and the eagerly-computed canonical key with the search
+/// stats the merge will account for in task order.
+type SteppedChild = (DetState, Facts, u64, Option<(CanonKey, CanonStats)>);
+
+/// The outcome of one phase-3 task.
+struct StepResult {
+    source: StateId,
+    /// `None` when the commitment representative violates the constraints.
+    next: Option<SteppedChild>,
+}
+
+/// What [`det_bfs`] hands back to the public wrappers.
+struct DetRun<S> {
+    sink: S,
+    outcome: AbsOutcome,
+    pool: ConstantPool,
+    counters: EngineCounters,
+}
+
+/// The abstraction BFS, generic over where admitted classes are kept.
+/// `new_sink` receives the initial state and its facts and returns the
+/// sink holding them as class 0 plus the initial frontier entry.
+fn det_bfs<S: StateSink>(
+    dcds: &Dcds,
+    max_states: usize,
+    opts: AbsOptions,
+    obs: &Obs,
+    new_sink: impl FnOnce(DetState, Facts) -> (S, S::Entry),
+) -> DetRun<S> {
     let _run = span!(
         obs,
         "det_abstraction",
@@ -376,14 +596,13 @@ pub fn det_abstraction_traced(
     let rigid = dcds.rigid_constants();
     let num_rels = dcds.data.schema.len();
     let threads = opts.threads.max(1);
+    let level_chunk = opts.level_chunk.max(1);
     let mut pool = dcds.working_pool();
     let mut counters = EngineCounters::default();
 
     let s0 = DetState::initial(dcds);
-    let mut ts = Ts::new(s0.instance.clone());
-    let mut states = vec![s0.clone()];
-    let mut index = ClassIndex::new(opts.strategy, rigid.clone());
     let f0 = s0.to_facts(num_rels);
+    let mut index = ClassIndex::new(opts.strategy, rigid.clone());
     let sig0 = f0.signature(&rigid);
     let key0 = if opts.strategy == DedupStrategy::CanonicalKey {
         let (k, stats) = f0.canonical_key_stats(&rigid);
@@ -392,9 +611,10 @@ pub fn det_abstraction_traced(
     } else {
         None
     };
-    index.insert(f0, sig0, key0);
+    index.insert(sig0, key0);
+    let (mut sink, entry0) = new_sink(s0, f0);
 
-    let mut frontier: Vec<StateId> = vec![ts.initial()];
+    let mut frontier: Vec<S::Entry> = vec![entry0];
     let mut outcome = AbsOutcome::Complete;
     let mut level = 0usize;
 
@@ -412,136 +632,147 @@ pub fn det_abstraction_traced(
             format!(
                 "abstraction level {level}: frontier {}, {} classes total",
                 frontier.len(),
-                ts.num_states()
+                sink.num_states()
             )
         });
 
-        // Phase 1 (parallel): legal assignments, pre-instances, and
-        // commitments per frontier state. Nothing here touches the pool.
-        let enumerated: Vec<Vec<EnumeratedStep>> =
-            par_map_obs(&frontier, threads, obs, "enumerate", |&sid| {
-                let state = &states[sid.index()];
-                let idx = state_index(dcds, &state.instance);
-                legal_assignments_indexed(dcds, &state.instance, Some(&idx))
-                    .into_iter()
-                    .map(|(action, sigma)| {
-                        let pre =
-                            do_action_indexed(dcds, &state.instance, action, &sigma, Some(&idx));
-                        let new_calls: Vec<dcds_core::ServiceCall> = pre
-                            .calls()
-                            .into_iter()
-                            .filter(|c| !state.call_map.contains_key(c))
-                            .collect();
-                        let mut known: BTreeSet<Value> = state.known_values();
-                        known.extend(rigid.iter().copied());
-                        let known: Vec<Value> = known.into_iter().collect();
-                        let commitments = enumerate_commitments(&new_calls, &known);
-                        (action, sigma, pre, commitments)
-                    })
-                    .collect()
-            });
-
-        // Census (parallel): each frontier state's value-occurrence
-        // census, so every successor's signature derives from a fact diff
-        // instead of a from-scratch pass.
-        let censuses: Vec<SigCensus> = par_map_obs(&frontier, threads, obs, "census", |&sid| {
-            let f = states[sid.index()].to_facts(num_rels);
-            SigCensus::new(f.iter(), &rigid)
-        });
-
-        // Phase 2 (serial, frontier order): mint the fresh cells of every
-        // commitment — the exact mint sequence of the serial engine.
-        let mut tasks: Vec<StepTask> = Vec::new();
-        for (frontier_ix, (sid, per_state)) in frontier.iter().zip(&enumerated).enumerate() {
-            for (_action, _sigma, pre, commitments) in per_state {
-                for commitment in commitments {
-                    let cells = dcds_core::commitment::fresh_cell_count(commitment);
-                    let fresh: Vec<Value> = (0..cells).map(|_| pool.mint("v")).collect();
-                    let choice = commitment
-                        .iter()
-                        .map(|(c, t)| {
-                            let v = match t {
-                                CommitTarget::Known(v) => *v,
-                                CommitTarget::Fresh(cell) => fresh[*cell],
-                            };
-                            (c.clone(), v)
-                        })
-                        .collect();
-                    tasks.push(StepTask {
-                        frontier_ix,
-                        source: *sid,
-                        pre,
-                        choice,
-                    });
-                }
-            }
-        }
-
-        // Phase 3 (parallel): evaluate every commitment representative,
-        // encode it, and — on a signature hit against the level-start
-        // index — canonicalise it eagerly so the serial merge rarely has
-        // to.
-        let step_timer = obs.timer();
-        let stepped: Vec<StepResult> = par_map_obs(&tasks, threads, obs, "step", |task| {
-            let state = &states[frontier[task.frontier_ix].index()];
-            let next = det_step_with_pre(dcds, state, task.pre, &task.choice).map(|next| {
-                let facts = next.to_facts(num_rels);
-                let sig = censuses[task.frontier_ix].child_signature(|| facts.iter(), facts.len());
-                let key = if opts.strategy == DedupStrategy::CanonicalKey
-                    && (opts.eager_keys || index.bucket_occupied(sig))
-                {
-                    Some(facts.canonical_key_stats(&rigid))
-                } else {
-                    None
-                };
-                (next, facts, sig, key)
-            });
-            StepResult {
-                source: task.source,
-                next,
-            }
-        });
-        drop(tasks);
-        obs.time_us("abs.step_phase_us", step_timer);
-
-        // Phase 4 (serial, task order): deduplicate, allocate ids, record
-        // edges — byte-for-byte the serial engine's merge order.
-        let merge_timer = obs.timer();
-        let mut next_frontier: Vec<StateId> = Vec::new();
+        let mut next_frontier: Vec<S::Entry> = Vec::new();
         let mut dedup_hits = 0u64;
         let mut edges_added = 0u64;
-        for result in stepped {
-            let Some((next, facts, sig, key)) = result.next else {
-                continue;
-            };
-            counters.successors_generated += 1;
-            // Worker canonicalised eagerly; account for it exactly once.
-            if let Some((_, stats)) = &key {
-                credit_canon(&mut counters, *stats);
-            }
-            let mut key: Option<CanonKey> = key.map(|(k, _)| k);
-            let found = index.find(&facts, sig, &mut key, &mut counters);
-            let next_id = match found {
-                Some(class_ix) => {
-                    dedup_hits += 1;
-                    StateId::from_index(class_ix)
-                }
-                None => {
-                    if ts.num_states() >= max_states {
-                        outcome = AbsOutcome::Truncated;
-                        continue;
+        for chunk in frontier.chunks(level_chunk) {
+            // Phase 1 (parallel): legal assignments, pre-instances, and
+            // commitments per frontier state. Nothing here touches the pool.
+            let enumerated: Vec<Vec<EnumeratedStep>> =
+                par_map_obs(chunk, threads, obs, "enumerate", |entry| {
+                    let state = sink.state(entry);
+                    let idx = state_index(dcds, &state.instance);
+                    legal_assignments_indexed(dcds, &state.instance, Some(&idx))
+                        .into_iter()
+                        .map(|(action, sigma)| {
+                            let pre = do_action_indexed(
+                                dcds,
+                                &state.instance,
+                                action,
+                                &sigma,
+                                Some(&idx),
+                            );
+                            let new_calls: Vec<dcds_core::ServiceCall> = pre
+                                .calls()
+                                .into_iter()
+                                .filter(|c| !state.call_map.contains_key(c))
+                                .collect();
+                            let mut known: BTreeSet<Value> = state.known_values();
+                            known.extend(rigid.iter().copied());
+                            let known: Vec<Value> = known.into_iter().collect();
+                            let commitments = enumerate_commitments(&new_calls, &known);
+                            (action, sigma, pre, commitments)
+                        })
+                        .collect()
+                });
+
+            // Census (parallel): each frontier state's value-occurrence
+            // census, so every successor's signature derives from a fact
+            // diff instead of a from-scratch pass.
+            let censuses: Vec<SigCensus> = par_map_obs(chunk, threads, obs, "census", |entry| {
+                let f = sink.state(entry).to_facts(num_rels);
+                SigCensus::new(f.iter(), &rigid)
+            });
+
+            // Phase 2 (serial, frontier order): mint the fresh cells of
+            // every commitment — the exact mint sequence of a serial loop.
+            let mut tasks: Vec<StepTask> = Vec::new();
+            for (frontier_ix, (entry, per_state)) in chunk.iter().zip(&enumerated).enumerate() {
+                for (_action, _sigma, pre, commitments) in per_state {
+                    for commitment in commitments {
+                        let cells = dcds_core::commitment::fresh_cell_count(commitment);
+                        let fresh: Vec<Value> = (0..cells).map(|_| pool.mint("v")).collect();
+                        let choice = commitment
+                            .iter()
+                            .map(|(c, t)| {
+                                let v = match t {
+                                    CommitTarget::Known(v) => *v,
+                                    CommitTarget::Fresh(cell) => fresh[*cell],
+                                };
+                                (c.clone(), v)
+                            })
+                            .collect();
+                        tasks.push(StepTask {
+                            frontier_ix,
+                            source: S::id(entry),
+                            pre,
+                            choice,
+                        });
                     }
-                    let id = ts.add_state(next.instance.clone());
-                    states.push(next);
-                    index.insert(facts, sig, key);
-                    next_frontier.push(id);
-                    id
                 }
-            };
-            ts.add_edge(result.source, next_id);
-            edges_added += 1;
+            }
+
+            // Phase 3 (parallel): evaluate every commitment representative,
+            // encode it, and — on a signature hit against the class index
+            // — canonicalise it eagerly so the serial merge rarely has to.
+            let step_timer = obs.timer();
+            let stepped: Vec<StepResult> = par_map_obs(&tasks, threads, obs, "step", |task| {
+                let state = sink.state(&chunk[task.frontier_ix]);
+                let next = det_step_with_pre(dcds, state, task.pre, &task.choice).map(|next| {
+                    let facts = next.to_facts(num_rels);
+                    let sig =
+                        censuses[task.frontier_ix].child_signature(|| facts.iter(), facts.len());
+                    let key = if opts.strategy == DedupStrategy::CanonicalKey
+                        && (opts.eager_keys || index.bucket_occupied(sig))
+                    {
+                        Some(facts.canonical_key_stats(&rigid))
+                    } else {
+                        None
+                    };
+                    (next, facts, sig, key)
+                });
+                StepResult {
+                    source: task.source,
+                    next,
+                }
+            });
+            drop(tasks);
+            obs.time_us("abs.step_phase_us", step_timer);
+
+            // Phase 4 (serial, task order): deduplicate, allocate ids,
+            // record edges.
+            let merge_timer = obs.timer();
+            for result in stepped {
+                let Some((next, facts, sig, key)) = result.next else {
+                    continue;
+                };
+                counters.successors_generated += 1;
+                // Worker canonicalised eagerly; account for it exactly once.
+                if let Some((_, stats)) = &key {
+                    credit_canon(&mut counters, *stats);
+                }
+                let mut key: Option<CanonKey> = key.map(|(k, _)| k);
+                let found = index.find(&facts, sig, &mut key, &mut counters, |ix| {
+                    sink.class_facts(ix)
+                });
+                let next_id = match found {
+                    Some(class_ix) => {
+                        dedup_hits += 1;
+                        StateId::from_index(class_ix)
+                    }
+                    None => {
+                        if sink.num_states() >= max_states {
+                            outcome = AbsOutcome::Truncated;
+                            continue;
+                        }
+                        index.insert(sig, key);
+                        let entry = sink.admit(result.source, next, facts);
+                        let id = S::id(&entry);
+                        next_frontier.push(entry);
+                        id
+                    }
+                };
+                if sink.add_edge(result.source, next_id) {
+                    edges_added += 1;
+                }
+            }
+            obs.time_us("abs.merge_phase_us", merge_timer);
         }
-        obs.time_us("abs.merge_phase_us", merge_timer);
+        sink.publish(obs);
         level_span.set("new_classes", next_frontier.len() as u64);
         event!(
             obs,
@@ -550,7 +781,7 @@ pub fn det_abstraction_traced(
             level = level,
             frontier = frontier.len(),
             new_classes = next_frontier.len(),
-            states = ts.num_states(),
+            states = sink.num_states(),
             edges = edges_added,
             dedup_hits = dedup_hits,
         );
@@ -560,19 +791,20 @@ pub fn det_abstraction_traced(
 
     obs.counter_add("abs.levels", level as u64);
     counters.publish(obs, "abs");
-    publish_canon(obs, &counters);
+    obs.counter_add("canon.keys_computed", counters.canon_keys_computed);
+    obs.counter_add("canon.orders_enumerated", counters.canon_orders_enumerated);
+    obs.counter_add("canon.prune_cutoffs", counters.canon_prune_cutoffs);
     publish_query_stats_delta(dcds, obs, &query_stats0);
     obs.progress_flush(|| {
         format!(
             "abstraction done: {} classes, {} levels ({outcome:?})",
-            ts.num_states(),
+            sink.num_states(),
             level
         )
     });
 
-    DetAbstraction {
-        ts,
-        states,
+    DetRun {
+        sink,
         outcome,
         pool,
         counters,
@@ -753,6 +985,19 @@ mod tests {
         }
     }
 
+    /// Drive [`ClassIndex::find`] directly, with `classes[i]` as the facts
+    /// of resident class `i`.
+    fn probe(
+        index: &mut ClassIndex,
+        classes: &[Facts],
+        facts: &Facts,
+        key: &mut Option<CanonKey>,
+        counters: &mut EngineCounters,
+    ) -> Option<usize> {
+        let sig = facts.signature(&index.rigid);
+        index.find(facts, sig, key, counters, |ix| Cow::Borrowed(&classes[ix]))
+    }
+
     /// Unary fact sets over explicit raw values, for driving the index
     /// directly.
     fn unary_facts(color: u32, values: &[usize]) -> Facts {
@@ -809,35 +1054,40 @@ mod tests {
 
     #[test]
     fn empty_group_probe_counters_uniform_across_strategies() {
-        // Satellite fix: an empty-signature-group probe must credit the
-        // signature filter identically under both strategies — one
-        // `sig_filter_skips` and one avoided check per resident class —
+        // An empty-signature-group probe must credit the signature filter
+        // identically under both strategies — one `sig_filter_skips` —
         // without computing any canonical key.
         let rigid = BTreeSet::new();
         let mut deltas = Vec::new();
         for strategy in [DedupStrategy::CanonicalKey, DedupStrategy::PairwiseIso] {
             let mut index = ClassIndex::new(strategy, rigid.clone());
+            let mut classes: Vec<Facts> = Vec::new();
             let mut counters = EngineCounters::default();
             for class in [unary_facts(0, &[0]), unary_facts(0, &[1, 2])] {
                 let sig = class.signature(&rigid);
                 let mut key = None;
-                assert_eq!(index.find(&class, sig, &mut key, &mut counters), None);
-                index.insert(class, sig, key);
+                assert_eq!(
+                    probe(&mut index, &classes, &class, &mut key, &mut counters),
+                    None
+                );
+                index.insert(sig, key);
+                classes.push(class);
             }
-            let probe = unary_facts(1, &[3]);
-            let sig = probe.signature(&rigid);
+            let unseen = unary_facts(1, &[3]);
             let before = counters;
             let mut key = None;
-            assert_eq!(index.find(&probe, sig, &mut key, &mut counters), None);
+            assert_eq!(
+                probe(&mut index, &classes, &unseen, &mut key, &mut counters),
+                None
+            );
             assert!(key.is_none(), "empty-group probe must not compute a key");
             deltas.push((
                 counters.sig_filter_skips - before.sig_filter_skips,
-                counters.iso_checks_avoided - before.iso_checks_avoided,
                 counters.iso_checks_performed - before.iso_checks_performed,
                 counters.canon_keys_computed - before.canon_keys_computed,
             ));
         }
-        assert_eq!(deltas[0], (1, 2, 0, 0));
+        assert_eq!(deltas[0], (1, 0, 0));
         assert_eq!(deltas[0], deltas[1], "strategies must account identically");
     }
 
@@ -854,6 +1104,7 @@ mod tests {
         assert_eq!(matchings.len(), 1500);
 
         let mut index = ClassIndex::new(DedupStrategy::CanonicalKey, rigid.clone());
+        let mut classes: Vec<Facts> = Vec::new();
         let mut counters = EngineCounters::default();
         let sig0 = matching_facts(&matchings[0], 100).signature(&rigid);
         for m in &matchings {
@@ -861,16 +1112,20 @@ mod tests {
             let sig = facts.signature(&rigid);
             assert_eq!(sig, sig0, "matchings must collide on one signature");
             let mut key = None;
-            assert_eq!(index.find(&facts, sig, &mut key, &mut counters), None);
-            index.insert(facts, sig, key);
+            assert_eq!(
+                probe(&mut index, &classes, &facts, &mut key, &mut counters),
+                None
+            );
+            index.insert(sig, key);
+            classes.push(facts);
         }
         // Re-probe every class under a fresh-value renaming: each must hit
         // its own class, purely through the exact map.
         for (expect_ix, m) in matchings.iter().enumerate() {
-            let probe = matching_facts(m, 5000 + expect_ix);
+            let renamed = matching_facts(m, 5000 + expect_ix);
             let mut key = None;
             assert_eq!(
-                index.find(&probe, sig0, &mut key, &mut counters),
+                probe(&mut index, &classes, &renamed, &mut key, &mut counters),
                 Some(expect_ix)
             );
         }
@@ -901,13 +1156,17 @@ mod tests {
         let a = unary_facts(0, &(100..109).collect::<Vec<_>>());
         let sig = a.signature(&rigid);
         let mut key = None;
-        assert_eq!(index.find(&a, sig, &mut key, &mut counters), None);
-        index.insert(a, sig, key);
+        assert_eq!(probe(&mut index, &[], &a, &mut key, &mut counters), None);
+        index.insert(sig, key);
+        let classes = vec![a];
 
         let b = unary_facts(0, &(200..209).collect::<Vec<_>>());
         assert_eq!(b.signature(&rigid), sig);
         let mut key = None;
-        assert_eq!(index.find(&b, sig, &mut key, &mut counters), Some(0));
+        assert_eq!(
+            probe(&mut index, &classes, &b, &mut key, &mut counters),
+            Some(0)
+        );
         assert!(key.is_some(), "symmetric class must key successfully");
         // Probe key + lazily keying the resident class.
         assert_eq!(counters.canon_keys_computed, 2);
@@ -930,5 +1189,38 @@ mod tests {
             abs.counters
         );
         assert!(abs.counters.states_expanded >= abs.ts.num_states() as u64);
+    }
+
+    #[test]
+    fn store_sink_matches_owned_sink_at_every_thread_count() {
+        for dcds in [example_4_1(), example_4_3()] {
+            for strategy in [DedupStrategy::CanonicalKey, DedupStrategy::PairwiseIso] {
+                for threads in [1usize, 2, 4, 8] {
+                    let opts = AbsOptions {
+                        strategy,
+                        threads,
+                        ..AbsOptions::default()
+                    };
+                    let owned = det_abstraction_opts(&dcds, 60, opts);
+                    let compact = det_abstraction_compact_opts(&dcds, 60, opts);
+                    assert_eq!(compact.ts.to_ts(), owned.ts, "{strategy:?} t={threads}");
+                    assert_eq!(compact.outcome, owned.outcome);
+                    assert_eq!(compact.pool.len(), owned.pool.len());
+                    assert_eq!(compact.counters, owned.counters);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compact_store_saves_fact_slots() {
+        // The truncating Example 4.3 run: successors extend their parent,
+        // so almost every state is a delta and the delta-share is high.
+        let compact = det_abstraction_compact_opts(&example_4_3(), 60, AbsOptions::default());
+        let stats = compact.ts.store_stats();
+        assert_eq!(stats.states(), 60);
+        assert!(stats.delta_states > 40, "stats: {stats:?}");
+        assert!(stats.delta_share() > 0.3, "stats: {stats:?}");
+        assert!(stats.bytes > 0);
     }
 }

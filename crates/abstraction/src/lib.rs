@@ -10,13 +10,18 @@
 //!   run-bounded systems the construction saturates into a finite system
 //!   history-preserving bisimilar to the concrete one (Figures 2b, 3b); for
 //!   run-unbounded systems it provably cannot saturate (Figure 4b) and
-//!   reports truncation.
+//!   reports truncation. One chunked, level-synchronised BFS builds it,
+//!   keeping admitted states either as owned structures
+//!   ([`det_abstraction_opts`]) or in the compact
+//!   [`dcds_reldata::StateStore`] ([`det_abstraction_compact_opts`]), with
+//!   identical output.
 //! * [`mod@rcycl`] — **Algorithm RCYCL** (Appendix C.3) for
 //!   **nondeterministic** services: builds an *eventually recycling
 //!   pruning* by preferring recycled values (`UsedValues` bookkeeping) over
 //!   fresh ones; terminates for state-bounded systems (Theorem 5.4),
 //!   yielding a finite system persistence-preserving bisimilar to the
-//!   concrete one (Figure 7b).
+//!   concrete one (Figure 7b). Its states always live in the state store;
+//!   [`rcycl_opts`] materialises the pruning as an owned `Ts`.
 //! * [`pruning`] — validation that a finite system really is a pruning:
 //!   per-state coverage of every satisfiable equality commitment.
 //! * [`bounds`] — empirical run-/state-boundedness monitors (the semantic
@@ -24,24 +29,17 @@
 //!   witnesses up to exploration limits).
 
 pub mod bounds;
-pub mod compact;
 pub mod det_abs;
 pub mod pruning;
 pub mod rcycl;
 
-pub use bounds::{
-    observe_run_bound, observe_state_bound, observe_state_bound_compact, BoundObservation,
-};
-pub use compact::{
-    det_abstraction_compact, det_abstraction_compact_opts, det_abstraction_compact_traced,
-    rcycl_compact, rcycl_compact_opts, rcycl_compact_traced, CompactDetAbstraction, CompactRcycl,
-};
+pub use bounds::{observe_run_bound, observe_state_bound, BoundObservation};
 pub use det_abs::{
-    det_abstraction, det_abstraction_opts, det_abstraction_traced, det_abstraction_with,
-    AbsOptions, AbsOutcome, DedupStrategy, DetAbstraction, DEFAULT_LEVEL_CHUNK,
+    det_abstraction, det_abstraction_compact_opts, det_abstraction_compact_traced,
+    det_abstraction_opts, det_abstraction_traced, det_abstraction_with, AbsOptions, AbsOutcome,
+    CompactDetAbstraction, DedupStrategy, DetAbstraction, DEFAULT_LEVEL_CHUNK,
 };
-pub use pruning::{
-    commitment_coverage_holds, commitment_coverage_holds_compact,
-    commitment_coverage_holds_compact_traced, commitment_coverage_holds_traced,
+pub use pruning::{commitment_coverage_holds, commitment_coverage_holds_traced};
+pub use rcycl::{
+    rcycl, rcycl_compact_opts, rcycl_compact_traced, rcycl_opts, CompactRcycl, RcyclResult,
 };
-pub use rcycl::{rcycl, rcycl_opts, rcycl_traced, RcyclResult};

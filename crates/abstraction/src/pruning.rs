@@ -9,7 +9,7 @@
 //! its isomorphism type.
 
 use dcds_core::nondet::nondet_successors_by_commitment;
-use dcds_core::{CompactTs, Dcds, Ts};
+use dcds_core::{Dcds, Ts};
 use dcds_obs::{span, Obs};
 use dcds_reldata::Facts;
 use std::collections::BTreeSet;
@@ -64,55 +64,6 @@ pub fn commitment_coverage_holds_traced(dcds: &Dcds, ts: &Ts, obs: &Obs) -> bool
     true
 }
 
-/// [`commitment_coverage_holds`] over a store-backed system (e.g. the
-/// output of [`crate::rcycl_compact`]): candidate successors' fact sets
-/// are materialised straight from the [`dcds_reldata::StateStore`] — no
-/// owned `Instance` per isomorphism probe. Verdict and check order are
-/// identical to the owned checker on `ts.to_ts()`.
-pub fn commitment_coverage_holds_compact(dcds: &Dcds, ts: &CompactTs) -> bool {
-    commitment_coverage_holds_compact_traced(dcds, ts, &Obs::disabled())
-}
-
-/// [`commitment_coverage_holds_compact`] with an observability handle;
-/// same spans and counters as the owned checker.
-pub fn commitment_coverage_holds_compact_traced(dcds: &Dcds, ts: &CompactTs, obs: &Obs) -> bool {
-    let mut run = span!(obs, "commitment_coverage", states = ts.num_states());
-    let rigid = dcds.rigid_constants();
-    let mut pool = dcds.working_pool();
-    let mut reps_checked = 0u64;
-    let store = ts.store();
-    for s in ts.state_ids() {
-        obs.heartbeat(|| {
-            format!(
-                "coverage: state {}/{}, {} representatives checked",
-                s.index(),
-                ts.num_states(),
-                reps_checked
-            )
-        });
-        let inst = ts.db(s);
-        let reps = nondet_successors_by_commitment(dcds, &inst, &mut pool);
-        for (_, _, _, rep) in &reps {
-            reps_checked += 1;
-            let mut fixed: BTreeSet<_> = rigid.clone();
-            fixed.extend(inst.active_domain());
-            let rep_facts = Facts::from_instance(rep);
-            let covered = ts
-                .successors(s)
-                .iter()
-                .any(|&t| store.facts(ts.state_ref(t)).isomorphic(&rep_facts, &fixed));
-            if !covered {
-                obs.counter_add("coverage.reps_checked", reps_checked);
-                run.set("covered", false);
-                return false;
-            }
-        }
-    }
-    obs.counter_add("coverage.reps_checked", reps_checked);
-    run.set("covered", true);
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,15 +91,6 @@ mod tests {
         let res = rcycl(&dcds, 100);
         assert!(res.complete);
         assert!(commitment_coverage_holds(&dcds, &res.ts));
-    }
-
-    #[test]
-    fn compact_coverage_agrees_with_owned() {
-        let dcds = example_5_1();
-        let owned = rcycl(&dcds, 100);
-        let compact = crate::rcycl_compact(&dcds, 100);
-        assert!(commitment_coverage_holds(&dcds, &owned.ts));
-        assert!(commitment_coverage_holds_compact(&dcds, &compact.ts));
     }
 
     #[test]

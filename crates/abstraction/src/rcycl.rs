@@ -25,19 +25,29 @@
 //! state-bounded input every run terminates with a finite eventually
 //! recycling pruning `Θ_S ∼ Υ_S`; for state-unbounded inputs we stop at
 //! `max_states` and report truncation.
+//!
+//! States live in a [`StateStore`]: each state is a delta over the state it
+//! was stepped from, every fact payload is interned once, and the worklist
+//! carries each queued state's copy-on-write [`InstanceIndex`] (derived from
+//! its parent's via [`InstanceIndex::rebuild_delta`], so expanding a state
+//! never rebuilds the path groups of relations the transition left alone).
+//! Deduplication is the store's exact-hash lookup: the pruning recycles
+//! values, so isomorphic states really are equal.
 
+use crate::det_abs::publish_store_gauges;
 use dcds_core::do_op::{
     do_action_indexed, legal_assignments_indexed, publish_query_stats_delta, query_stats_snapshot,
     state_index, PreInstance,
 };
 use dcds_core::nondet::{evals_over, nondet_step_with_pre};
 use dcds_core::par::{configured_threads, par_map_obs, EngineCounters};
-use dcds_core::{Dcds, StateId, Ts};
+use dcds_core::{CompactTs, Dcds, StateId, Ts};
 use dcds_obs::{event, span, Obs};
-use dcds_reldata::{ConstantPool, Instance, Value};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use dcds_reldata::{ConstantPool, Facts, Instance, InstanceIndex, StateRef, StateStore, Value};
+use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
-/// Result of running RCYCL.
+/// Result of running RCYCL, materialised as an owned [`Ts`].
 #[derive(Debug, Clone)]
 pub struct RcyclResult {
     /// The pruning (a transition system over instances).
@@ -57,6 +67,23 @@ pub struct RcyclResult {
     pub counters: EngineCounters,
 }
 
+/// Result of RCYCL with the pruning's states held in the store.
+#[derive(Debug)]
+pub struct CompactRcycl {
+    /// The pruning, states in the store.
+    pub ts: CompactTs,
+    /// Did the algorithm saturate (true) or hit `max_states` (false)?
+    pub complete: bool,
+    /// All values ever used (the final `UsedValues`).
+    pub used_values: BTreeSet<Value>,
+    /// Number of `(I, α, σ)` triples processed.
+    pub triples_processed: usize,
+    /// The constant pool extended with minted fresh values.
+    pub pool: ConstantPool,
+    /// Observability counters; see [`RcyclResult::counters`].
+    pub counters: EngineCounters,
+}
+
 /// Run Algorithm RCYCL with a state budget and the configured thread count
 /// (see [`configured_threads`]).
 ///
@@ -71,8 +98,23 @@ pub fn rcycl(dcds: &Dcds, max_states: usize) -> RcyclResult {
     rcycl_opts(dcds, max_states, configured_threads())
 }
 
-/// [`rcycl`] with an explicit worker-thread count. Output is identical for
-/// every `threads` value (including 1, the serial ablation baseline).
+/// [`rcycl`] with an explicit worker-thread count: [`rcycl_compact_opts`]
+/// with the pruning materialised by [`CompactTs::to_ts`].
+pub fn rcycl_opts(dcds: &Dcds, max_states: usize, threads: usize) -> RcyclResult {
+    let res = rcycl_compact_opts(dcds, max_states, threads);
+    RcyclResult {
+        ts: res.ts.to_ts(),
+        complete: res.complete,
+        used_values: res.used_values,
+        triples_processed: res.triples_processed,
+        pool: res.pool,
+        counters: res.counters,
+    }
+}
+
+/// Run RCYCL with an explicit worker-thread count, keeping the pruning in
+/// the store. Output is identical for every `threads` value (including 1,
+/// the serial ablation baseline).
 ///
 /// Unlike the deterministic abstraction, RCYCL's outer loop cannot be
 /// level-parallelised without changing the answer: `UsedValues` evolves
@@ -81,44 +123,51 @@ pub fn rcycl(dcds: &Dcds, max_states: usize) -> RcyclResult {
 /// of a triple — the up-to-`|F|^n` evaluations θ are independent
 /// constraint-checked query evaluations against one shared `DO(I, ασ)`
 /// pre-instance — and the per-state `DO` precomputation. Both are farmed
-/// out with [`par_map`](dcds_core::par::par_map) and merged serially in enumeration order, so the
-/// pruning, `UsedValues`, and the pool match the serial run exactly.
-pub fn rcycl_opts(dcds: &Dcds, max_states: usize, threads: usize) -> RcyclResult {
-    rcycl_traced(dcds, max_states, threads, &Obs::disabled())
+/// out with [`par_map`](dcds_core::par::par_map) and merged serially in
+/// enumeration order, so the pruning, `UsedValues`, and the pool match the
+/// serial run exactly.
+pub fn rcycl_compact_opts(dcds: &Dcds, max_states: usize, threads: usize) -> CompactRcycl {
+    rcycl_compact_traced(dcds, max_states, threads, &Obs::disabled())
 }
 
-/// [`rcycl_opts`] with an observability handle: one span per dequeued
-/// state, θ-fan-out metrics, and rate-limited heartbeats. A disabled
-/// handle makes this exactly `rcycl_opts`.
-pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -> RcyclResult {
+/// [`rcycl_compact_opts`] with an observability handle: one span per
+/// dequeued state, θ-fan-out metrics, `store.*` gauges, and rate-limited
+/// heartbeats. A disabled handle makes this exactly `rcycl_compact_opts`.
+pub fn rcycl_compact_traced(
+    dcds: &Dcds,
+    max_states: usize,
+    threads: usize,
+    obs: &Obs,
+) -> CompactRcycl {
     const MAX_EVALS_PER_STEP: f64 = 20_000.0;
     let _run = span!(obs, "rcycl", threads = threads, max_states = max_states);
     let query_stats0 = query_stats_snapshot(dcds);
     let rigid = dcds.rigid_constants();
+    let num_rels = dcds.data.schema.len() as u32;
     let threads = threads.max(1);
     let mut pool = dcds.working_pool();
     let mut counters = EngineCounters::default();
+    let paths = dcds.plans().access_paths();
 
-    let mut ts = Ts::new(dcds.data.initial.clone());
-    let mut index: HashMap<Instance, StateId> = HashMap::new();
-    index.insert(dcds.data.initial.clone(), ts.initial());
+    let mut store = StateStore::new();
+    let r0 = store
+        .insert(None, &Facts::from_instance(&dcds.data.initial))
+        .state;
+    let mut refs: Vec<StateRef> = vec![r0];
+    let mut succ: Vec<Vec<StateId>> = vec![Vec::new()];
     let mut used_values: BTreeSet<Value> = dcds.data.initial.active_domain();
     used_values.extend(rigid.iter().copied());
 
-    // Worklist of states whose (α, σ) triples are not yet Visited. A state
-    // is re-enqueued when new legal assignments can appear — they cannot
-    // (legality depends only on I), so one pass per state suffices; the
-    // `Visited` set still guards against duplicates from re-added states.
-    let mut queue: VecDeque<StateId> = VecDeque::new();
-    queue.push_back(ts.initial());
-    let mut visited_states: BTreeSet<StateId> = BTreeSet::new();
+    // Worklist of states whose (α, σ) triples are not yet Visited. Legality
+    // depends only on I, so one pass per state suffices: each state is
+    // enqueued once, when it is added.
+    let idx0 = Arc::new(state_index(dcds, &dcds.data.initial));
+    let mut queue: VecDeque<(StateId, Arc<InstanceIndex>)> = VecDeque::new();
+    queue.push_back((StateId::from_index(0), idx0));
     let mut complete = true;
     let mut triples = 0usize;
 
-    while let Some(sid) = queue.pop_front() {
-        if !visited_states.insert(sid) {
-            continue;
-        }
+    while let Some((sid, state_idx)) = queue.pop_front() {
         counters.states_expanded += 1;
         // No levels to hang events on: report every 1024 dequeued states.
         if counters.states_expanded % 1024 == 0 {
@@ -127,25 +176,26 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
                 "progress",
                 engine = "rcycl",
                 expanded = counters.states_expanded,
-                states = ts.num_states(),
+                states = refs.len(),
                 queued = queue.len(),
                 triples = triples,
+                store_bytes = store.stats().bytes,
             );
         }
         let mut state_span = span!(obs, "rcycl_state", queue = queue.len());
         obs.heartbeat(|| {
             format!(
                 "rcycl: {} states, {} queued, {} triples processed",
-                ts.num_states(),
+                refs.len(),
                 queue.len(),
                 triples
             )
         });
-        let inst = ts.db(sid).clone();
+        let parent_ref = refs[sid.index()];
+        let inst = store.instance(parent_ref, num_rels);
+        let parent_ids = store.resolve(parent_ref);
         // `DO(I, ασ)` depends only on the state, not on `UsedValues`:
-        // build one hash index for the dequeued state and precompute every
-        // triple's pre-instance in parallel against it.
-        let state_idx = state_index(dcds, &inst);
+        // precompute every triple's pre-instance in parallel.
         let triples_for_state = legal_assignments_indexed(dcds, &inst, Some(&state_idx));
         let pres: Vec<PreInstance> =
             par_map_obs(&triples_for_state, threads, obs, "do", |(action, sigma)| {
@@ -188,23 +238,44 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
                 });
             for next in nexts.into_iter().flatten() {
                 counters.successors_generated += 1;
-                let next_id = match index.get(&next) {
-                    Some(&id) => id,
+                let facts = Facts::from_instance(&next);
+                // Look up before inserting: an over-budget successor must
+                // leave no trace in the (append-only) store, or its
+                // dedup entry would later alias a never-allocated id.
+                let next_id = match store.find(&facts) {
+                    Some(existing) => StateId::from_index(existing.index()),
                     None => {
-                        if ts.num_states() >= max_states {
+                        if refs.len() >= max_states {
                             complete = false;
                             continue;
                         }
-                        let id = ts.add_state(next.clone());
-                        index.insert(next, id);
-                        queue.push_back(id);
+                        let ins = store.insert_child(parent_ref, &parent_ids, &facts);
+                        debug_assert!(!ins.existing);
+                        let id = StateId::from_index(refs.len());
+                        debug_assert_eq!(ins.state.index(), id.index());
+                        refs.push(ins.state);
+                        succ.push(Vec::new());
+                        let child_idx = match store.delta_rels(ins.state, num_rels) {
+                            Some(touched) => InstanceIndex::rebuild_delta(
+                                &state_idx,
+                                &next,
+                                &touched,
+                                paths.iter().cloned(),
+                            ),
+                            None => state_index(dcds, &next),
+                        };
+                        queue.push_back((id, Arc::new(child_idx)));
                         id
                     }
                 };
-                used_values.extend(ts.db(next_id).active_domain());
-                ts.add_edge(sid, next_id);
+                used_values.extend(next.active_domain());
+                let out = &mut succ[sid.index()];
+                if !out.contains(&next_id) {
+                    out.push(next_id);
+                }
             }
         }
+        publish_store_gauges(obs, &store);
     }
 
     obs.counter_add("rcycl.triples_processed", triples as u64);
@@ -216,19 +287,20 @@ pub fn rcycl_traced(dcds: &Dcds, max_states: usize, threads: usize, obs: &Obs) -
         "progress",
         engine = "rcycl",
         expanded = counters.states_expanded,
-        states = ts.num_states(),
+        states = refs.len(),
         queued = 0u64,
         triples = triples,
+        store_bytes = store.stats().bytes,
     );
     obs.progress_flush(|| {
         format!(
             "rcycl done: {} states, {triples} triples (complete: {complete})",
-            ts.num_states()
+            refs.len()
         )
     });
 
-    RcyclResult {
-        ts,
+    CompactRcycl {
+        ts: CompactTs::from_parts(store, refs, succ, num_rels),
         complete,
         used_values,
         triples_processed: triples,

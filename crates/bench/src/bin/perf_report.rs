@@ -27,9 +27,10 @@
 //! owned-`Instance` engines are run at — recording states/sec, the
 //! deterministic bytes-per-state high-water estimate, and the delta-share
 //! ratio, and asserting (a) bytes/state grows less than 2× from 100k to
-//! 500k states and (b) the compact engines are bit-identical to the
-//! legacy ones (states, edges, pool, every counter) on an overlapping
-//! budget at 1, 2, 4 and 8 threads.
+//! 500k states and (b) on an overlapping budget at 1, 2, 4 and 8 threads,
+//! the det abstraction's store sink is bit-identical to its owned sink
+//! (states, edges, pool, every counter) and RCYCL's output is the same at
+//! every thread count.
 //!
 //! Writes `BENCH_abstraction.json`, `BENCH_mucalc.json`, `BENCH_query.json`
 //! and `BENCH_scale.json` into the current directory so the perf
@@ -64,7 +65,8 @@
 
 use dcds_abstraction::{
     det_abstraction_compact_opts, det_abstraction_compact_traced, det_abstraction_opts,
-    det_abstraction_traced, rcycl_compact_opts, rcycl_opts, AbsOptions, DedupStrategy,
+    det_abstraction_traced, rcycl_compact_opts, rcycl_compact_traced, rcycl_opts, AbsOptions,
+    DedupStrategy,
 };
 use dcds_bench::report::{self, Kind, Thresholds};
 use dcds_bench::{examples, queries, synthetic, travel};
@@ -459,8 +461,6 @@ struct ScaleRun {
     canon_prune_cutoffs: u64,
     /// Dedup probe work: probes answered by an empty signature group.
     sig_filter_skips: u64,
-    /// Dedup probe work: pairwise checks the index made unnecessary.
-    iso_checks_avoided: u64,
     /// Dedup probe work: backtracking isomorphism checks actually run.
     iso_checks_performed: u64,
 }
@@ -487,8 +487,11 @@ struct ScaleWorkload {
     /// dedup-throughput check (det engines must stay at or above 0.5; a
     /// linear class-index scan collapses this towards `lo / hi`).
     throughput_ratio: f64,
-    /// Budget at which compact and legacy were asserted bit-identical at
-    /// every thread count.
+    /// What was asserted bit-identical at `overlap_budget` for every
+    /// thread count: `owned_vs_store` (det) or `thread_invariance`
+    /// (RCYCL, which has a single engine).
+    parity: &'static str,
+    /// Budget at which `parity` was asserted.
     overlap_budget: usize,
 }
 
@@ -516,7 +519,6 @@ fn scale_run_det(dcds: &Dcds, budget: usize) -> ScaleRun {
         canon_orders_enumerated: abs.counters.canon_orders_enumerated,
         canon_prune_cutoffs: abs.counters.canon_prune_cutoffs,
         sig_filter_skips: abs.counters.sig_filter_skips,
-        iso_checks_avoided: abs.counters.iso_checks_avoided,
         iso_checks_performed: abs.counters.iso_checks_performed,
     }
 }
@@ -538,7 +540,6 @@ fn scale_run_rcycl(dcds: &Dcds, budget: usize) -> ScaleRun {
         canon_orders_enumerated: res.counters.canon_orders_enumerated,
         canon_prune_cutoffs: res.counters.canon_prune_cutoffs,
         sig_filter_skips: res.counters.sig_filter_skips,
-        iso_checks_avoided: res.counters.iso_checks_avoided,
         iso_checks_performed: res.counters.iso_checks_performed,
     }
 }
@@ -555,48 +556,46 @@ fn gate_ratio(runs: &[ScaleRun], budgets: (usize, usize), measure: fn(&ScaleRun)
     at(budgets.1) / at(budgets.0)
 }
 
-/// Assert the det compact engine is bit-identical to the legacy engine —
-/// same states, edges, outcome, minted pool, and every counter (including
-/// canonical keys computed) — at every thread count.
+/// Assert the det abstraction's store sink is bit-identical to its owned
+/// sink — same states, edges, outcome, minted pool, and every counter
+/// (including canonical keys computed) — at every thread count.
 fn assert_det_overlap(dcds: &Dcds, budget: usize) {
     for threads in THREAD_COUNTS {
         let opts = AbsOptions {
             threads,
             ..AbsOptions::default()
         };
-        let legacy = det_abstraction_opts(dcds, budget, opts);
+        let owned = det_abstraction_opts(dcds, budget, opts);
         let compact = det_abstraction_compact_opts(dcds, budget, opts);
         assert_eq!(
             compact.ts.to_ts(),
-            legacy.ts,
-            "det compact diverged from legacy at {threads} threads"
+            owned.ts,
+            "det store sink diverged from the owned sink at {threads} threads"
         );
-        assert_eq!(compact.outcome, legacy.outcome);
-        assert_eq!(compact.pool.len(), legacy.pool.len());
+        assert_eq!(compact.outcome, owned.outcome);
+        assert_eq!(compact.pool.len(), owned.pool.len());
         assert_eq!(
-            compact.counters, legacy.counters,
-            "det compact counters diverged at {threads} threads"
+            compact.counters, owned.counters,
+            "det store sink counters diverged at {threads} threads"
         );
     }
 }
 
-/// The RCYCL analogue of [`assert_det_overlap`].
-fn assert_rcycl_overlap(dcds: &Dcds, budget: usize) {
-    for threads in THREAD_COUNTS {
-        let legacy = rcycl_opts(dcds, budget, threads);
-        let compact = rcycl_compact_opts(dcds, budget, threads);
+/// Assert RCYCL's output — pruning, completeness, `UsedValues`, triples,
+/// minted pool, and every counter — is the same at every thread count as
+/// at one thread.
+fn assert_rcycl_thread_invariant(dcds: &Dcds, budget: usize) {
+    let base = rcycl_opts(dcds, budget, 1);
+    for threads in &THREAD_COUNTS[1..] {
+        let run = rcycl_opts(dcds, budget, *threads);
+        assert_eq!(run.ts, base.ts, "rcycl diverged at {threads} threads");
+        assert_eq!(run.complete, base.complete);
+        assert_eq!(run.used_values, base.used_values);
+        assert_eq!(run.triples_processed, base.triples_processed);
+        assert_eq!(run.pool.len(), base.pool.len());
         assert_eq!(
-            compact.ts.to_ts(),
-            legacy.ts,
-            "rcycl compact diverged from legacy at {threads} threads"
-        );
-        assert_eq!(compact.complete, legacy.complete);
-        assert_eq!(compact.used_values, legacy.used_values);
-        assert_eq!(compact.triples_processed, legacy.triples_processed);
-        assert_eq!(compact.pool.len(), legacy.pool.len());
-        assert_eq!(
-            compact.counters, legacy.counters,
-            "rcycl compact counters diverged at {threads} threads"
+            run.counters, base.counters,
+            "rcycl counters diverged at {threads} threads"
         );
     }
 }
@@ -620,6 +619,7 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
         gate_budgets: (100_000, 500_000),
         bytes_growth: 0.0,
         throughput_ratio: 0.0,
+        parity: "owned_vs_store",
         overlap_budget: det_overlap,
     };
 
@@ -642,12 +642,13 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
         gate_budgets: (30_000, 60_000),
         bytes_growth: 0.0,
         throughput_ratio: 0.0,
+        parity: "owned_vs_store",
         overlap_budget: coll_overlap,
     };
 
     let rcycl_overlap = 20_000;
     let rings = synthetic::phased_rings(5);
-    assert_rcycl_overlap(&rings, rcycl_overlap);
+    assert_rcycl_thread_invariant(&rings, rcycl_overlap);
     let rcycl = ScaleWorkload {
         name: "phased_rings(5)".into(),
         engine: "rcycl_compact",
@@ -660,6 +661,7 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
         gate_budgets: (100_000, 500_000),
         bytes_growth: 0.0,
         throughput_ratio: 0.0,
+        parity: "thread_invariance",
         overlap_budget: rcycl_overlap,
     };
 
@@ -1217,7 +1219,7 @@ fn main() {
     // plan/index counters (`query.*`) the hot path produces on the
     // workload benchmarked above.
     let obs = Obs::enabled(ObsConfig::default());
-    let _ = dcds_abstraction::rcycl_traced(&travel::request_system_small(), 5000, 1, &obs);
+    let _ = rcycl_compact_traced(&travel::request_system_small(), 5000, 1, &obs);
     let snapshot = obs.finish().expect("obs enabled").metrics;
     let _ = writeln!(json, "  \"metrics_snapshot\": {}", snapshot.to_json());
     json.push_str("}\n");
@@ -1238,7 +1240,7 @@ fn main() {
         return;
     }
     let scale_loads = scale_workloads();
-    println!("\ncompact-store scale report  (1 thread; legacy parity asserted at 1/2/4/8)");
+    println!("\ncompact-store scale report  (1 thread; parity asserted at 1/2/4/8)");
     for w in &scale_loads {
         println!("\n{} — {}", w.engine, w.name);
         println!(
@@ -1271,7 +1273,7 @@ fn main() {
         }
         println!(
             "  {}k -> {}k: bytes/state x{:.2} (must stay < 2x), states/s x{:.2}{}; \
-             bit-identical to legacy at {} states, threads 1/2/4/8",
+             {} asserted at {} states, threads 1/2/4/8",
             w.gate_budgets.0 / 1000,
             w.gate_budgets.1 / 1000,
             w.bytes_growth,
@@ -1281,6 +1283,7 @@ fn main() {
             } else {
                 ""
             },
+            w.parity,
             w.overlap_budget
         );
     }
@@ -1303,14 +1306,14 @@ fn main() {
     let _ = writeln!(json, "  \"benchmark\": \"compact-store-scale\",");
     let _ = writeln!(json, "  \"hardware_threads\": {hardware_threads},");
     let _ = writeln!(json, "  \"threads\": 1,");
-    let _ = writeln!(json, "  \"legacy_parity_thread_counts\": [1, 2, 4, 8],");
+    let _ = writeln!(json, "  \"parity_thread_counts\": [1, 2, 4, 8],");
     let _ = writeln!(json, "  \"workloads\": [");
     for (wi, w) in scale_loads.iter().enumerate() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"name\": \"{}\",", w.name);
         let _ = writeln!(json, "      \"engine\": \"{}\",", w.engine);
         let _ = writeln!(json, "      \"overlap_budget\": {},", w.overlap_budget);
-        let _ = writeln!(json, "      \"legacy_bit_identical\": true,");
+        let _ = writeln!(json, "      \"parity\": \"{}\",", w.parity);
         let _ = writeln!(json, "      \"runs\": [");
         for (ri, r) in w.runs.iter().enumerate() {
             let _ = writeln!(
@@ -1320,7 +1323,7 @@ fn main() {
                  \"delta_share\": {}, \"facts_interned\": {}, \"complete\": {}, \
                  \"canon_keys_computed\": {}, \"canon_orders_enumerated\": {}, \
                  \"canon_prune_cutoffs\": {}, \"sig_filter_skips\": {}, \
-                 \"iso_checks_avoided\": {}, \"iso_checks_performed\": {}}}{}",
+                 \"iso_checks_performed\": {}}}{}",
                 r.budget,
                 json_f64(r.secs),
                 r.states,
@@ -1335,7 +1338,6 @@ fn main() {
                 r.canon_orders_enumerated,
                 r.canon_prune_cutoffs,
                 r.sig_filter_skips,
-                r.iso_checks_avoided,
                 r.iso_checks_performed,
                 if ri + 1 < w.runs.len() { "," } else { "" }
             );

@@ -1,23 +1,24 @@
-//! Seeded engine-level differential: the compact-store engines against
-//! the legacy owned-`Instance` engines, over synthetic families and
+//! Seeded engine-level differential over synthetic families and
 //! SplitMix64-seeded random systems, at 1, 2, 4 and 8 worker threads.
 //!
-//! The compact engines must replay the legacy ones **bit-identically**:
-//! same transition system (states in the same order, same edges), same
-//! outcome/completeness, same minted constant pool, and the same value of
-//! every engine counter — including canonical keys computed and iso
-//! checks performed, i.e. the same dedup decisions, not just the same
-//! final answer.
+//! * **Det abstraction:** the store sink (`det_abstraction_compact_opts`)
+//!   must replay the owned sink (`det_abstraction_opts`)
+//!   **bit-identically**: same transition system (states in the same
+//!   order, same edges), same outcome, same minted constant pool, and the
+//!   same value of every engine counter — including canonical keys
+//!   computed and iso checks performed, i.e. the same dedup decisions, not
+//!   just the same final answer.
+//! * **RCYCL:** the store engine must agree with [`reference_rcycl`], a
+//!   sequential transcription of Algorithm RCYCL as the paper writes it.
 
 use dcds_abstraction::{
-    det_abstraction_compact_opts, det_abstraction_opts, rcycl_compact_opts, rcycl_opts, AbsOptions,
+    det_abstraction_compact_opts, det_abstraction_opts, rcycl_compact_opts, AbsOptions,
 };
 use dcds_bench::synthetic::{self, RandomParams};
-use dcds_core::explore::{
-    explore_det_compact_opts, explore_det_opts, explore_nondet_compact_opts, explore_nondet_opts,
-    CommitmentOracle, Limits, SampledOracle,
-};
-use dcds_core::{Dcds, ServiceKind};
+use dcds_core::nondet::{evals_over, nondet_step_with_pre};
+use dcds_core::{do_action, legal_assignments, Dcds, EngineCounters, ServiceKind, StateId, Ts};
+use dcds_reldata::{Instance, Value};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -27,152 +28,198 @@ fn assert_det_identical(dcds: &Dcds, budget: usize) {
             threads,
             ..AbsOptions::default()
         };
-        let legacy = det_abstraction_opts(dcds, budget, opts);
+        let owned = det_abstraction_opts(dcds, budget, opts);
         let compact = det_abstraction_compact_opts(dcds, budget, opts);
         assert_eq!(
             compact.ts.to_ts(),
-            legacy.ts,
+            owned.ts,
             "det ts diverged at {threads} threads"
         );
-        assert_eq!(compact.outcome, legacy.outcome);
-        assert_eq!(compact.pool.len(), legacy.pool.len());
+        assert_eq!(compact.outcome, owned.outcome);
+        assert_eq!(compact.pool.len(), owned.pool.len());
         assert_eq!(
-            compact.counters, legacy.counters,
+            compact.counters, owned.counters,
             "det counters diverged at {threads} threads"
         );
     }
 }
 
-fn assert_rcycl_identical(dcds: &Dcds, budget: usize) {
+/// What [`reference_rcycl`] computes.
+struct Reference {
+    ts: Ts,
+    complete: bool,
+    used_values: BTreeSet<Value>,
+    triples: usize,
+    pool_len: usize,
+    counters: EngineCounters,
+}
+
+/// Algorithm RCYCL (Appendix C.3) as written: a FIFO worklist of states,
+/// deduplication by exact instance equality in a `HashMap`, and every
+/// `(I, α, σ)` triple processed in turn — no worker threads, no state
+/// store, no query index. The nondeterministic picks are resolved the way
+/// the engine documents: worklist order, lowest recyclable values first,
+/// fresh values minted from the pool, and the same `|F|^n` budget on
+/// `EVALS_F`.
+fn reference_rcycl(dcds: &Dcds, max_states: usize) -> Reference {
+    const MAX_EVALS_PER_STEP: f64 = 20_000.0;
+    let rigid = dcds.rigid_constants();
+    let mut pool = dcds.working_pool();
+    let mut counters = EngineCounters::default();
+    let mut ts = Ts::new(dcds.data.initial.clone());
+    let mut ids: HashMap<Instance, StateId> = HashMap::new();
+    ids.insert(dcds.data.initial.clone(), ts.initial());
+    // UsedValues := ADOM(I₀).
+    let mut used_values: BTreeSet<Value> = dcds.data.initial.active_domain();
+    used_values.extend(rigid.iter().copied());
+    let mut queue: VecDeque<StateId> = VecDeque::from([ts.initial()]);
+    let mut complete = true;
+    let mut triples = 0usize;
+
+    while let Some(sid) = queue.pop_front() {
+        counters.states_expanded += 1;
+        let inst = ts.db(sid).clone();
+        let adom = inst.active_domain();
+        for (action, sigma) in legal_assignments(dcds, &inst) {
+            triples += 1;
+            let pre = do_action(dcds, &inst, action, &sigma);
+            let calls = pre.calls();
+            let n = calls.len();
+            // RecyclableValues := UsedValues − (ADOM(I₀) ∪ ADOM(I)), in
+            // ascending order.
+            let recyclable: Vec<Value> = used_values
+                .iter()
+                .copied()
+                .filter(|v| !rigid.contains(v) && !adom.contains(v))
+                .collect();
+            let v_set: Vec<Value> = if recyclable.len() >= n {
+                recyclable[..n].to_vec()
+            } else {
+                (0..n).map(|_| pool.mint("v")).collect()
+            };
+            // F := ADOM(I₀) ∪ ADOM(I) ∪ V.
+            let mut f_set = adom.clone();
+            f_set.extend(rigid.iter().copied());
+            f_set.extend(v_set);
+            if (f_set.len() as f64).powi(n as i32) > MAX_EVALS_PER_STEP {
+                complete = false;
+                continue;
+            }
+            for theta in evals_over(&calls, &f_set) {
+                let Some(next) = nondet_step_with_pre(dcds, &pre, &theta) else {
+                    continue;
+                };
+                counters.successors_generated += 1;
+                let next_id = match ids.get(&next) {
+                    Some(&id) => id,
+                    None => {
+                        if ts.num_states() >= max_states {
+                            complete = false;
+                            continue;
+                        }
+                        let id = ts.add_state(next.clone());
+                        ids.insert(next.clone(), id);
+                        queue.push_back(id);
+                        id
+                    }
+                };
+                used_values.extend(next.active_domain());
+                ts.add_edge(sid, next_id);
+            }
+        }
+    }
+    Reference {
+        ts,
+        complete,
+        used_values,
+        triples,
+        pool_len: pool.len(),
+        counters,
+    }
+}
+
+fn assert_rcycl_matches_reference(dcds: &Dcds, budget: usize) {
+    let reference = reference_rcycl(dcds, budget);
     for threads in THREAD_COUNTS {
-        let legacy = rcycl_opts(dcds, budget, threads);
-        let compact = rcycl_compact_opts(dcds, budget, threads);
+        let engine = rcycl_compact_opts(dcds, budget, threads);
         assert_eq!(
-            compact.ts.to_ts(),
-            legacy.ts,
+            engine.ts.to_ts(),
+            reference.ts,
             "rcycl ts diverged at {threads} threads"
         );
-        assert_eq!(compact.complete, legacy.complete);
-        assert_eq!(compact.used_values, legacy.used_values);
-        assert_eq!(compact.triples_processed, legacy.triples_processed);
-        assert_eq!(compact.pool.len(), legacy.pool.len());
+        assert_eq!(engine.complete, reference.complete);
+        assert_eq!(engine.used_values, reference.used_values);
+        assert_eq!(engine.triples_processed, reference.triples);
+        assert_eq!(engine.pool.len(), reference.pool_len);
         assert_eq!(
-            compact.counters, legacy.counters,
+            engine.counters, reference.counters,
             "rcycl counters diverged at {threads} threads"
         );
     }
 }
 
-/// Structural equality of the store-backed bounded explorers against the
-/// owned-`Instance` ones: states in the same order, same edges, same call
-/// maps (det), same outcome, same minted pool.
-fn assert_explore_identical(dcds: &Dcds, limits: Limits) {
-    for threads in THREAD_COUNTS {
-        let mut oracle = CommitmentOracle;
-        let owned = explore_det_opts(dcds, limits, &mut oracle, threads);
-        let mut oracle = CommitmentOracle;
-        let compact = explore_det_compact_opts(dcds, limits, &mut oracle, threads);
-        assert_eq!(
-            compact.ts.to_ts(),
-            owned.ts,
-            "explore_det ts diverged at {threads} threads"
-        );
-        assert_eq!(compact.call_maps, owned.call_maps);
-        assert_eq!(compact.outcome, owned.outcome);
-        assert_eq!(compact.pool.len(), owned.pool.len());
-    }
-}
-
-fn assert_explore_nondet_identical(dcds: &Dcds, limits: Limits, seed: u64) {
-    for threads in THREAD_COUNTS {
-        let mut oracle = SampledOracle {
-            seed,
-            samples: 5,
-            fresh_per_step: 2,
-        };
-        let owned = explore_nondet_opts(dcds, limits, &mut oracle, threads);
-        let mut oracle = SampledOracle {
-            seed,
-            samples: 5,
-            fresh_per_step: 2,
-        };
-        let compact = explore_nondet_compact_opts(dcds, limits, &mut oracle, threads);
-        assert_eq!(
-            compact.ts.to_ts(),
-            owned.ts,
-            "explore_nondet ts diverged at {threads} threads"
-        );
-        assert_eq!(compact.outcome, owned.outcome);
-        assert_eq!(compact.pool.len(), owned.pool.len());
-    }
-}
-
 #[test]
-fn det_compact_matches_legacy_on_synthetic_families() {
+fn det_store_sink_matches_owned_on_synthetic_families() {
     assert_det_identical(&synthetic::service_chain(6), 400);
     assert_det_identical(&synthetic::service_cycle(4), 400);
     assert_det_identical(&synthetic::parallel_rings(2), 300);
 }
 
 #[test]
-fn det_compact_matches_legacy_on_collision_heavy_family() {
+fn det_store_sink_matches_owned_on_collision_heavy_family() {
     // Thousands of isomorphism classes behind a handful of signatures:
-    // the exact-match key index must replay the legacy dedup decisions
-    // (and counters) even when whole levels collide.
+    // both sinks must make the same dedup decisions (and counters) even
+    // when whole levels collide.
     assert_det_identical(&synthetic::collision_pairs(7), 400);
 }
 
 #[test]
 fn det_compact_level_chunking_is_output_invariant() {
-    // The compact engine steps wide BFS levels in `level_chunk`-sized
-    // batches to bound transient allocation. Chunking must not change
-    // anything observable: force pathologically small chunks (so every
-    // level spans many chunk boundaries) and require bit-identity with
-    // both the unchunked compact run and the legacy engine — same Ts,
-    // same pool, same counters, at every thread count.
+    // The BFS steps wide levels in `level_chunk`-sized batches to bound
+    // transient allocation. Chunking must not change anything observable:
+    // force pathologically small chunks (so every level spans many chunk
+    // boundaries) and require bit-identity of both sinks with the
+    // default-chunk store run — same Ts, same states, same pool, same
+    // counters, at every thread count.
     for dcds in [
         synthetic::service_chain(6),
         synthetic::collision_pairs(7),
         synthetic::parallel_rings(2),
     ] {
         for threads in [1, 4] {
-            let baseline = det_abstraction_compact_opts(
-                &dcds,
-                400,
-                AbsOptions {
-                    threads,
-                    ..AbsOptions::default()
-                },
-            );
-            let legacy = det_abstraction_opts(
-                &dcds,
-                400,
-                AbsOptions {
-                    threads,
-                    ..AbsOptions::default()
-                },
-            );
-            for level_chunk in [1, 3, 64] {
-                let chunked = det_abstraction_compact_opts(
-                    &dcds,
-                    400,
-                    AbsOptions {
-                        threads,
-                        level_chunk,
-                        ..AbsOptions::default()
-                    },
-                );
+            let opts = |level_chunk| AbsOptions {
+                threads,
+                level_chunk,
+                ..AbsOptions::default()
+            };
+            let baseline = det_abstraction_compact_opts(&dcds, 400, opts(4096));
+            let baseline_ts = baseline.ts.to_ts();
+            let owned_baseline = det_abstraction_opts(&dcds, 400, opts(4096));
+            for level_chunk in [1, 3, 64, 4096] {
+                let chunked = det_abstraction_compact_opts(&dcds, 400, opts(level_chunk));
+                let owned = det_abstraction_opts(&dcds, 400, opts(level_chunk));
+                let what = format!("chunk {level_chunk}, {threads} threads");
                 assert_eq!(
                     chunked.ts.to_ts(),
-                    baseline.ts.to_ts(),
-                    "ts diverged at chunk {level_chunk}, {threads} threads"
+                    baseline_ts,
+                    "store ts diverged at {what}"
                 );
-                assert_eq!(chunked.ts.to_ts(), legacy.ts);
-                assert_eq!(chunked.outcome, baseline.outcome);
-                assert_eq!(chunked.pool.len(), baseline.pool.len());
+                assert_eq!(owned.ts, baseline_ts, "owned ts diverged at {what}");
                 assert_eq!(
-                    chunked.counters, legacy.counters,
-                    "counters diverged at chunk {level_chunk}, {threads} threads"
+                    owned.states, owned_baseline.states,
+                    "states diverged at {what}"
+                );
+                assert_eq!(chunked.outcome, baseline.outcome);
+                assert_eq!(owned.outcome, baseline.outcome);
+                assert_eq!(chunked.pool.len(), baseline.pool.len());
+                assert_eq!(owned.pool.len(), baseline.pool.len());
+                assert_eq!(
+                    chunked.counters, baseline.counters,
+                    "store counters diverged at {what}"
+                );
+                assert_eq!(
+                    owned.counters, baseline.counters,
+                    "owned counters diverged at {what}"
                 );
             }
         }
@@ -180,54 +227,14 @@ fn det_compact_level_chunking_is_output_invariant() {
 }
 
 #[test]
-fn explore_compact_matches_owned_on_synthetic_families() {
-    let limits = Limits {
-        max_states: 400,
-        max_depth: 4,
-    };
-    assert_explore_identical(&synthetic::service_chain(5), limits);
-    assert_explore_identical(&synthetic::parallel_rings(2), limits);
-    assert_explore_identical(&synthetic::collision_pairs(5), limits);
-    assert_explore_nondet_identical(&synthetic::phased_rings(3), limits, 29);
-    assert_explore_nondet_identical(&synthetic::flush_ladder(), limits, 41);
+fn rcycl_matches_reference_on_synthetic_families() {
+    assert_rcycl_matches_reference(&synthetic::phased_rings(3), 500);
+    assert_rcycl_matches_reference(&synthetic::flush_ladder(), 500);
+    assert_rcycl_matches_reference(&synthetic::accumulator(2), 120);
 }
 
 #[test]
-fn explore_compact_matches_owned_on_seeded_random_systems() {
-    let limits = Limits {
-        max_states: 250,
-        max_depth: 3,
-    };
-    for seed in [5, 1311] {
-        let det = synthetic::random_dcds(
-            seed,
-            RandomParams {
-                kind: ServiceKind::Deterministic,
-                ..RandomParams::default()
-            },
-        );
-        assert_explore_identical(&det, limits);
-        let nondet = synthetic::random_dcds(
-            seed,
-            RandomParams {
-                kind: ServiceKind::Nondeterministic,
-                call_probability: 0.6,
-                ..RandomParams::default()
-            },
-        );
-        assert_explore_nondet_identical(&nondet, limits, seed);
-    }
-}
-
-#[test]
-fn rcycl_compact_matches_legacy_on_synthetic_families() {
-    assert_rcycl_identical(&synthetic::phased_rings(3), 500);
-    assert_rcycl_identical(&synthetic::flush_ladder(), 500);
-    assert_rcycl_identical(&synthetic::accumulator(2), 120);
-}
-
-#[test]
-fn det_compact_matches_legacy_on_seeded_random_systems() {
+fn det_store_sink_matches_owned_on_seeded_random_systems() {
     for seed in [7, 21, 1977] {
         let dcds = synthetic::random_dcds(
             seed,
@@ -241,7 +248,7 @@ fn det_compact_matches_legacy_on_seeded_random_systems() {
 }
 
 #[test]
-fn rcycl_compact_matches_legacy_on_seeded_random_systems() {
+fn rcycl_matches_reference_on_seeded_random_systems() {
     for seed in [3, 1013] {
         let dcds = synthetic::random_dcds(
             seed,
@@ -251,6 +258,6 @@ fn rcycl_compact_matches_legacy_on_seeded_random_systems() {
                 ..RandomParams::default()
             },
         );
-        assert_rcycl_identical(&dcds, 250);
+        assert_rcycl_matches_reference(&dcds, 250);
     }
 }

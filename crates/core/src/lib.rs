@@ -62,10 +62,8 @@ pub use do_op::{
     PlanCache, PreInstance,
 };
 pub use explore::{
-    explore_det, explore_det_compact, explore_det_compact_opts, explore_det_compact_traced,
-    explore_det_opts, explore_det_traced, explore_nondet, explore_nondet_compact,
-    explore_nondet_compact_opts, explore_nondet_compact_traced, explore_nondet_opts,
-    explore_nondet_traced, CompactDetExploration, CompactNondetExploration, ExploreOutcome, Limits,
+    explore_det, explore_det_opts, explore_det_traced, explore_nondet, explore_nondet_opts,
+    explore_nondet_traced, ExploreOutcome, Limits,
 };
 pub use par::{configured_threads, par_map, par_map_obs, par_map_with, EngineCounters};
 pub use parser::parse_dcds;

@@ -171,9 +171,6 @@ pub struct EngineCounters {
     /// Dedup probes answered by an empty signature bucket — each one is a
     /// canonicalisation (or pairwise scan) that never happened.
     pub sig_filter_skips: u64,
-    /// Pairwise isomorphism checks skipped thanks to unequal signatures or
-    /// canonical-key hits.
-    pub iso_checks_avoided: u64,
     /// Pairwise isomorphism checks actually performed.
     pub iso_checks_performed: u64,
     /// Complete value orders whose encoding the canonical-key search
@@ -187,13 +184,12 @@ pub struct EngineCounters {
 impl EngineCounters {
     /// The counters as `(name, value)` pairs — single source of truth for
     /// [`EngineCounters::to_json`] and [`EngineCounters::publish`].
-    pub fn entries(&self) -> [(&'static str, u64); 8] {
+    pub fn entries(&self) -> [(&'static str, u64); 7] {
         [
             ("states_expanded", self.states_expanded),
             ("successors_generated", self.successors_generated),
             ("canon_keys_computed", self.canon_keys_computed),
             ("sig_filter_skips", self.sig_filter_skips),
-            ("iso_checks_avoided", self.iso_checks_avoided),
             ("iso_checks_performed", self.iso_checks_performed),
             ("canon_orders_enumerated", self.canon_orders_enumerated),
             ("canon_prune_cutoffs", self.canon_prune_cutoffs),
@@ -242,7 +238,7 @@ impl std::fmt::Display for EngineCounters {
         write!(
             f,
             "expanded {} states, {} successors; {} canonical keys ({} orders, {} cutoffs), \
-             {} sig-bucket skips, {} iso checks ({} avoided)",
+             {} sig-bucket skips, {} iso checks",
             self.states_expanded,
             self.successors_generated,
             self.canon_keys_computed,
@@ -250,7 +246,6 @@ impl std::fmt::Display for EngineCounters {
             self.canon_prune_cutoffs,
             self.sig_filter_skips,
             self.iso_checks_performed,
-            self.iso_checks_avoided,
         )
     }
 }

@@ -681,11 +681,20 @@ mod tests {
         {
             let _root = span!(obs, "root");
             std::thread::scope(|scope| {
-                for _ in 0..3 {
-                    let obs = obs.clone();
-                    scope.spawn(move || {
-                        let _g = span!(obs, "worker");
-                    });
+                let workers: Vec<_> = (0..3)
+                    .map(|_| {
+                        let obs = obs.clone();
+                        scope.spawn(move || {
+                            let _g = span!(obs, "worker");
+                        })
+                    })
+                    .collect();
+                // Join explicitly, as `par_map_with` does: a worker's buffer
+                // merges in its thread-local destructor, which runs before
+                // `join` returns but may still be running when the scope's
+                // implicit wait returns.
+                for w in workers {
+                    w.join().expect("worker panicked");
                 }
             });
         }

@@ -10,7 +10,14 @@ echo "== cargo clippy -D warnings"
 cargo clippy --all-targets -- -D warnings
 
 echo "== cargo test"
+# `default-members` in the root Cargo.toml makes this cover every crate.
 cargo test -q
+
+echo "== benchmark link surface (e2ebench)"
+# The spec-to-verdict benchmark is a package of its own that links the
+# workspace crates as libraries; building and testing it here makes a
+# rename of any library name it uses fail this gate, not the benchmark.
+cargo test --release -q --manifest-path e2ebench/Cargo.toml
 
 echo "== query-plan differential suite"
 # Four-way differential (reference / nested-loop / plan-scan / plan+index)
@@ -30,9 +37,11 @@ cargo test -q --test symbolic_differential
 
 echo "== compact-store differential suite"
 # Arena/delta store vs owned-Instance oracle: materialisation-level
-# (reldata) and engine-level (compact vs legacy at 1/2/4/8 threads) —
-# abstraction engines (counters included), the store-backed bounded
-# explorers, and the collision-heavy keyed-dedup family.
+# (reldata) and engine-level at 1/2/4/8 threads — the det abstraction's
+# store sink vs its owned sink (counters included, every level_chunk,
+# the collision-heavy keyed-dedup family) and the store RCYCL vs a
+# sequential reference RCYCL. Part of `cargo test` above; named reruns
+# keep the gate loud if a target is ever renamed.
 cargo test -q -p dcds-reldata --test store_differential
 cargo test -q -p dcds-bench --test compact_differential
 

@@ -71,8 +71,8 @@
 //! selected format).
 
 use dcds_verify::abstraction::{
-    det_abstraction_compact_traced, det_abstraction_traced, rcycl_compact_traced, rcycl_traced,
-    AbsOptions, AbsOutcome,
+    det_abstraction_compact_traced, det_abstraction_traced, rcycl_compact_traced, AbsOptions,
+    AbsOutcome,
 };
 use dcds_verify::analysis::{
     dataflow_dot, dataflow_graph, dependency_graph, depgraph_dot, gr_acyclicity, is_weakly_acyclic,
@@ -142,8 +142,10 @@ obs flags (analyze, abstract, check, lint):
 `--engine symbolic` decides AG/EF safety properties by backward
 reachability without requiring boundedness; budgets are `--max-iters`
 (regression depth) and `--max-clauses` (clause set size).
-`--compact` builds the abstraction through the arena/delta state store
-(flat per-state memory; bit-identical output) and reports store stats.
+`--compact` builds a deterministic spec's abstraction through the
+arena/delta state store (flat per-state memory; identical output) and
+reports store stats. Nondeterministic specs always run RCYCL over the
+store, so the flag does not change them.
 `dcds lint` exits 0 when the spec is clean, 1 on errors (or warnings under
 --deny warnings), and 2 when the spec cannot be parsed.
 Set DCDS_PROGRESS=1s (or 500ms, ...) for live heartbeats on stderr.";
@@ -370,6 +372,12 @@ fn analyze(path: &str, obs_cli: &ObsCli) -> Result<(), String> {
     obs_cli.finish(&obs)
 }
 
+/// Build the finite abstraction: RCYCL for nondeterministic services
+/// (always over the state store), the Thm 4.3 abstraction for
+/// deterministic ones (over the store with `compact`, owned otherwise).
+/// Store-backed systems are materialised to an owned [`Ts`] once, here,
+/// because every downstream consumer (model checker, dot output) takes
+/// `&Ts`.
 fn build_abstraction(
     dcds: &Dcds,
     max_states: usize,
@@ -384,88 +392,42 @@ fn build_abstraction(
     EngineCounters,
     Option<StoreStats>,
 ) {
-    if compact {
-        return build_abstraction_compact(dcds, max_states, threads, obs);
-    }
-    if dcds.is_deterministic() {
-        let abs = det_abstraction_traced(
-            dcds,
-            max_states,
-            AbsOptions {
-                threads,
-                ..AbsOptions::default()
-            },
-            obs,
-        );
-        let complete = abs.outcome == AbsOutcome::Complete;
-        (
-            abs.ts,
-            abs.pool,
-            complete,
-            "deterministic abstraction (Thm 4.3)",
-            abs.counters,
-            None,
-        )
-    } else {
-        let res = rcycl_traced(dcds, max_states, threads, obs);
-        (
-            res.ts,
-            res.pool,
-            res.complete,
-            "RCYCL pruning (Thm 5.4)",
-            res.counters,
-            None,
-        )
-    }
-}
-
-/// [`build_abstraction`] through the arena/delta state store. The compact
-/// engines are bit-identical to the legacy ones; the resulting `CompactTs`
-/// is materialised to an owned [`Ts`] once, here, because every downstream
-/// consumer (model checker, dot output) takes `&Ts`.
-fn build_abstraction_compact(
-    dcds: &Dcds,
-    max_states: usize,
-    threads: usize,
-    obs: &Obs,
-) -> (
-    Ts,
-    ConstantPool,
-    bool,
-    &'static str,
-    EngineCounters,
-    Option<StoreStats>,
-) {
-    if dcds.is_deterministic() {
-        let abs = det_abstraction_compact_traced(
-            dcds,
-            max_states,
-            AbsOptions {
-                threads,
-                ..AbsOptions::default()
-            },
-            obs,
-        );
-        let complete = abs.outcome == AbsOutcome::Complete;
-        let stats = abs.ts.store_stats();
-        (
-            abs.ts.to_ts(),
-            abs.pool,
-            complete,
-            "deterministic abstraction (Thm 4.3, compact store)",
-            abs.counters,
-            Some(stats),
-        )
-    } else {
+    if !dcds.is_deterministic() {
         let res = rcycl_compact_traced(dcds, max_states, threads, obs);
         let stats = res.ts.store_stats();
-        (
+        return (
             res.ts.to_ts(),
             res.pool,
             res.complete,
             "RCYCL pruning (Thm 5.4, compact store)",
             res.counters,
             Some(stats),
+        );
+    }
+    let opts = AbsOptions {
+        threads,
+        ..AbsOptions::default()
+    };
+    if compact {
+        let abs = det_abstraction_compact_traced(dcds, max_states, opts, obs);
+        let stats = abs.ts.store_stats();
+        (
+            abs.ts.to_ts(),
+            abs.pool,
+            abs.outcome == AbsOutcome::Complete,
+            "deterministic abstraction (Thm 4.3, compact store)",
+            abs.counters,
+            Some(stats),
+        )
+    } else {
+        let abs = det_abstraction_traced(dcds, max_states, opts, obs);
+        (
+            abs.ts,
+            abs.pool,
+            abs.outcome == AbsOutcome::Complete,
+            "deterministic abstraction (Thm 4.3)",
+            abs.counters,
+            None,
         )
     }
 }

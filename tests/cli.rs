@@ -202,6 +202,39 @@ fn check_compact_format_json_keeps_stdout_clean() {
 }
 
 #[test]
+fn abstract_dot_is_the_same_with_and_without_compact_on_det_specs() {
+    // On a deterministic spec `--compact` only swaps the state sink of the
+    // abstraction BFS: stdout (summary, counters, dot graph) must be
+    // byte-identical once the `, compact store` label is stripped.
+    let spec_path = spec("unbounded_safe.dcds");
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "abstract",
+            spec_path.as_str(),
+            "--max-states",
+            "40",
+            "--threads",
+            "2",
+            "--dot",
+        ];
+        args.extend_from_slice(extra);
+        let (code, stdout, stderr) = dcds_streams(&args);
+        assert_eq!(code, 0, "{stdout}{stderr}");
+        (stdout, stderr)
+    };
+    let (owned, owned_err) = run(&[]);
+    let (compact, compact_err) = run(&["--compact"]);
+    assert!(owned.contains("digraph"), "{owned}");
+    assert!(
+        compact.starts_with("deterministic abstraction (Thm 4.3, compact store): 40 states"),
+        "{compact}"
+    );
+    assert_eq!(compact.replace(", compact store", ""), owned);
+    assert!(!owned_err.contains("compact store: "), "{owned_err}");
+    assert!(compact_err.contains("compact store: "), "{compact_err}");
+}
+
+#[test]
 fn check_obs_flags_write_trace_and_metrics() {
     let dir = std::env::temp_dir();
     let trace = dir.join(format!("dcds_cli_trace_{}.json", std::process::id()));

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use dcds_verify::abstraction::{
-    det_abstraction_opts, det_abstraction_traced, rcycl_opts, rcycl_traced, AbsOptions,
+    det_abstraction_opts, det_abstraction_traced, rcycl_compact_traced, rcycl_opts, AbsOptions,
 };
 use dcds_verify::bench::{examples, travel};
 use dcds_verify::core::par_map_obs;
@@ -101,10 +101,11 @@ fn rcycl_tracing_is_invisible_and_metrics_deterministic() {
     let mut snapshots = Vec::new();
     for threads in THREADS {
         let obs = Obs::enabled(ObsConfig::default());
-        let traced = rcycl_traced(&dcds, 150, threads, &obs);
+        let traced = rcycl_compact_traced(&dcds, 150, threads, &obs);
         let plain = rcycl_opts(&dcds, 150, threads);
         assert_eq!(
-            traced.ts, plain.ts,
+            traced.ts.to_ts(),
+            plain.ts,
             "tracing changed the pruning at {threads} threads"
         );
         assert_eq!(traced.used_values, plain.used_values);
