@@ -41,16 +41,15 @@
 //! `dcds_core::par::par_map` returns results in input order regardless of
 //! scheduling. The determinism tests assert this.
 //!
-//! # Two state sinks, one BFS
+//! # States in the store
 //!
-//! Admitted classes go to a state sink. [`det_abstraction_opts`] keeps
-//! them as owned structures — a [`Ts`] of instances, every `⟨I, M⟩` state,
-//! and every class's fact encoding. [`det_abstraction_compact_opts`] keeps
-//! them in a [`StateStore`] instead: each state is a delta over its parent,
-//! every fact payload is interned once, and only the frontier's `⟨I, M⟩`
-//! structures are alive at a time. The BFS, the class index and therefore
-//! every decision and counter are shared, so the two results agree exactly
-//! (`compact.ts.to_ts() == owned.ts`).
+//! Admitted classes live in a [`StateStore`]: each state is a delta over
+//! its parent, every fact payload is interned once, and only the
+//! frontier's `⟨I, M⟩` structures are alive at a time.
+//! [`det_abstraction_compact_opts`] returns the store-backed
+//! [`CompactTs`]; [`det_abstraction_opts`] runs the same engine and then
+//! materialises an owned [`Ts`] plus every `⟨I, M⟩` state, decoded from
+//! the store with [`DetState::from_facts`].
 //!
 //! # Deduplication
 //!
@@ -81,7 +80,6 @@ use dcds_obs::{event, span, Obs};
 use dcds_reldata::{
     CanonKey, CanonStats, ConstantPool, FactId, Facts, SigCensus, StateRef, StateStore, Value,
 };
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 /// Whether an abstraction construction saturated.
@@ -114,7 +112,7 @@ pub struct DetAbstraction {
 /// [`DetAbstraction`] there is no `states: Vec<DetState>` — retaining every
 /// `⟨I, M⟩` state as an owned structure is exactly what the store exists
 /// to avoid. The full fact encoding of any state is still available
-/// through [`CompactTs::store`].
+/// through [`CompactTs::store`] (decode it with [`DetState::from_facts`]).
 #[derive(Debug)]
 pub struct CompactDetAbstraction {
     /// The abstract transition system, states in the store.
@@ -123,7 +121,7 @@ pub struct CompactDetAbstraction {
     pub outcome: AbsOutcome,
     /// The constant pool extended with minted representatives.
     pub pool: ConstantPool,
-    /// Engine counters — identical to the owned run's.
+    /// Observability counters (exact and thread-count independent).
     pub counters: EngineCounters,
 }
 
@@ -182,61 +180,29 @@ pub fn det_abstraction(dcds: &Dcds, max_states: usize) -> DetAbstraction {
     det_abstraction_opts(dcds, max_states, AbsOptions::default())
 }
 
-/// [`det_abstraction`] with an explicit deduplication strategy.
-pub fn det_abstraction_with(
-    dcds: &Dcds,
-    max_states: usize,
-    strategy: DedupStrategy,
-) -> DetAbstraction {
-    det_abstraction_opts(
-        dcds,
-        max_states,
-        AbsOptions {
-            strategy,
-            ..AbsOptions::default()
-        },
-    )
-}
-
-/// [`det_abstraction`] with explicit options. Output is identical for
-/// every `opts.threads` value (including 1); see the module docs.
+/// [`det_abstraction`] with explicit options: the store engine, then its
+/// states materialised as an owned [`Ts`] and decoded `⟨I, M⟩` states.
+/// Output is identical for every `opts.threads` value (including 1); see
+/// the module docs.
 pub fn det_abstraction_opts(dcds: &Dcds, max_states: usize, opts: AbsOptions) -> DetAbstraction {
-    det_abstraction_traced(dcds, max_states, opts, &Obs::disabled())
-}
-
-/// [`det_abstraction_opts`] with an observability handle: an overall span,
-/// one `frontier_level` span per BFS level, frontier/dedup metrics, and
-/// rate-limited heartbeats. With a disabled handle this is exactly
-/// `det_abstraction_opts` — no clock reads, no allocation.
-///
-/// The registry is only updated from the serial phases (and from the final
-/// [`EngineCounters::publish`]), so every metric except the `*_us` timing
-/// histograms is bit-identical at every thread count.
-pub fn det_abstraction_traced(
-    dcds: &Dcds,
-    max_states: usize,
-    opts: AbsOptions,
-    obs: &Obs,
-) -> DetAbstraction {
-    let run = det_bfs(dcds, max_states, opts, obs, |s0, f0| {
-        let sink = OwnedSink {
-            ts: Ts::new(s0.instance.clone()),
-            states: vec![s0],
-            class_facts: vec![f0],
-        };
-        (sink, StateId::from_index(0))
-    });
+    let abs = det_abstraction_compact_opts(dcds, max_states, opts);
+    let num_rels = dcds.data.schema.len();
+    let states = abs
+        .ts
+        .state_ids()
+        .map(|s| DetState::from_facts(&abs.ts.store().facts(abs.ts.state_ref(s)), num_rels))
+        .collect();
     DetAbstraction {
-        ts: run.sink.ts,
-        states: run.sink.states,
-        outcome: run.outcome,
-        pool: run.pool,
-        counters: run.counters,
+        ts: abs.ts.to_ts(),
+        states,
+        outcome: abs.outcome,
+        pool: abs.pool,
+        counters: abs.counters,
     }
 }
 
-/// [`det_abstraction_opts`] with the states kept in the compact state
-/// store; see the module docs.
+/// The deterministic abstraction with its states kept in the compact
+/// state store; see the module docs.
 pub fn det_abstraction_compact_opts(
     dcds: &Dcds,
     max_states: usize,
@@ -245,99 +211,8 @@ pub fn det_abstraction_compact_opts(
     det_abstraction_compact_traced(dcds, max_states, opts, &Obs::disabled())
 }
 
-/// [`det_abstraction_compact_opts`] with an observability handle: the
-/// spans, events and metrics of [`det_abstraction_traced`] plus the
-/// `store.*` gauge family.
-pub fn det_abstraction_compact_traced(
-    dcds: &Dcds,
-    max_states: usize,
-    opts: AbsOptions,
-    obs: &Obs,
-) -> CompactDetAbstraction {
-    let num_rels = dcds.data.schema.len() as u32;
-    let run = det_bfs(dcds, max_states, opts, obs, |s0, f0| {
-        let mut store = StateStore::new();
-        let r0 = store.insert(None, &f0).state;
-        let sink = StoreSink {
-            store,
-            refs: vec![r0],
-            succ: vec![Vec::new()],
-            resolved_parent: None,
-        };
-        (sink, (StateId::from_index(0), s0))
-    });
-    let sink = run.sink;
-    CompactDetAbstraction {
-        ts: CompactTs::from_parts(sink.store, sink.refs, sink.succ, num_rels),
-        outcome: run.outcome,
-        pool: run.pool,
-        counters: run.counters,
-    }
-}
-
-/// Where the BFS keeps the classes it admits. Class `i` is state `i`.
-trait StateSink: Sync {
-    /// A frontier entry: enough to reach the state's `⟨I, M⟩` structure
-    /// while its level is being expanded.
-    type Entry: Sync;
-    fn id(entry: &Self::Entry) -> StateId;
-    fn state<'a>(&'a self, entry: &'a Self::Entry) -> &'a DetState;
-    fn num_states(&self) -> usize;
-    /// The fact encoding of a resident class (lazy keys and the pairwise
-    /// matcher).
-    fn class_facts(&self, class: usize) -> Cow<'_, Facts>;
-    /// Admit a new class stepped from `source`; its id is the old
-    /// [`StateSink::num_states`].
-    fn admit(&mut self, source: StateId, state: DetState, facts: Facts) -> Self::Entry;
-    /// Record an edge; `false` when it was already present.
-    fn add_edge(&mut self, from: StateId, to: StateId) -> bool;
-    /// Publish sink-specific gauges after a level.
-    fn publish(&self, _obs: &Obs) {}
-}
-
-/// Owned sink: a [`Ts`] of instances, every `⟨I, M⟩` state, and every
-/// class's fact encoding.
-struct OwnedSink {
-    ts: Ts,
-    states: Vec<DetState>,
-    class_facts: Vec<Facts>,
-}
-
-impl StateSink for OwnedSink {
-    type Entry = StateId;
-
-    fn id(entry: &StateId) -> StateId {
-        *entry
-    }
-
-    fn state<'a>(&'a self, entry: &'a StateId) -> &'a DetState {
-        &self.states[entry.index()]
-    }
-
-    fn num_states(&self) -> usize {
-        self.ts.num_states()
-    }
-
-    fn class_facts(&self, class: usize) -> Cow<'_, Facts> {
-        Cow::Borrowed(&self.class_facts[class])
-    }
-
-    fn admit(&mut self, _source: StateId, state: DetState, facts: Facts) -> StateId {
-        let id = self.ts.add_state(state.instance.clone());
-        self.states.push(state);
-        self.class_facts.push(facts);
-        id
-    }
-
-    fn add_edge(&mut self, from: StateId, to: StateId) -> bool {
-        let new = !self.ts.successors(from).contains(&to);
-        self.ts.add_edge(from, to);
-        new
-    }
-}
-
-/// Store sink: each state a delta over its parent in a [`StateStore`];
-/// frontier entries carry the transient `⟨I, M⟩` structure.
+/// Store sink: each admitted class a delta over its parent in a
+/// [`StateStore`]. Class `i` is state `i`.
 struct StoreSink {
     store: StateStore,
     refs: Vec<StateRef>,
@@ -347,26 +222,32 @@ struct StoreSink {
     resolved_parent: Option<(StateId, Vec<FactId>)>,
 }
 
-impl StateSink for StoreSink {
-    type Entry = (StateId, DetState);
-
-    fn id(entry: &Self::Entry) -> StateId {
-        entry.0
-    }
-
-    fn state<'a>(&'a self, entry: &'a Self::Entry) -> &'a DetState {
-        &entry.1
+impl StoreSink {
+    /// A sink holding the initial state's facts as class 0.
+    fn new(f0: &Facts) -> Self {
+        let mut store = StateStore::new();
+        let r0 = store.insert(None, f0).state;
+        StoreSink {
+            store,
+            refs: vec![r0],
+            succ: vec![Vec::new()],
+            resolved_parent: None,
+        }
     }
 
     fn num_states(&self) -> usize {
         self.refs.len()
     }
 
-    fn class_facts(&self, class: usize) -> Cow<'_, Facts> {
-        Cow::Owned(self.store.facts(self.refs[class]))
+    /// The fact encoding of a resident class (lazy keys and the pairwise
+    /// matcher).
+    fn class_facts(&self, class: usize) -> Facts {
+        self.store.facts(self.refs[class])
     }
 
-    fn admit(&mut self, source: StateId, state: DetState, facts: Facts) -> Self::Entry {
+    /// Admit a new class stepped from `source`; its id is the old
+    /// [`StoreSink::num_states`].
+    fn admit(&mut self, source: StateId, facts: &Facts) -> StateId {
         let parent_ref = self.refs[source.index()];
         if self.resolved_parent.as_ref().map(|(s, _)| *s) != Some(source) {
             self.resolved_parent = Some((source, self.store.resolve(parent_ref)));
@@ -375,14 +256,15 @@ impl StateSink for StoreSink {
             .resolved_parent
             .as_ref()
             .expect("parent resolved just above");
-        let ins = self.store.insert_child(parent_ref, parent_ids, &facts);
+        let ins = self.store.insert_child(parent_ref, parent_ids, facts);
         debug_assert!(!ins.existing, "new iso class duplicates a stored state");
         let id = StateId::from_index(self.refs.len());
         self.refs.push(ins.state);
         self.succ.push(Vec::new());
-        (id, state)
+        id
     }
 
+    /// Record an edge; `false` when it was already present.
     fn add_edge(&mut self, from: StateId, to: StateId) -> bool {
         let out = &mut self.succ[from.index()];
         let new = !out.contains(&to);
@@ -390,10 +272,6 @@ impl StateSink for StoreSink {
             out.push(to);
         }
         new
-    }
-
-    fn publish(&self, obs: &Obs) {
-        publish_store_gauges(obs, &self.store);
     }
 }
 
@@ -427,7 +305,7 @@ fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
 /// Index of the isomorphism classes seen so far: an exact-match map over
 /// canonical keys in front of signature groups. Class `i` is the `i`-th
 /// insertion; the index holds no fact payloads — a probe that needs a
-/// resident class's facts asks the state sink for them.
+/// resident class's facts asks the store for them.
 ///
 /// Canonical keys are computed lazily: a class admitted through an empty
 /// signature group never pays for canonicalisation unless a later probe
@@ -478,13 +356,13 @@ impl ClassIndex {
     /// attempted); the slot is filled in if the merge has to compute one,
     /// so a subsequent [`ClassIndex::insert`] can reuse it. `class_facts`
     /// returns a resident class's fact encoding.
-    fn find<'f>(
+    fn find(
         &mut self,
         facts: &Facts,
         sig: u64,
         probe_key: &mut Option<CanonKey>,
         counters: &mut EngineCounters,
-        class_facts: impl Fn(usize) -> Cow<'f, Facts>,
+        class_facts: impl Fn(usize) -> Facts,
     ) -> Option<usize> {
         let ClassIndex {
             strategy,
@@ -568,24 +446,21 @@ struct StepResult {
     next: Option<SteppedChild>,
 }
 
-/// What [`det_bfs`] hands back to the public wrappers.
-struct DetRun<S> {
-    sink: S,
-    outcome: AbsOutcome,
-    pool: ConstantPool,
-    counters: EngineCounters,
-}
-
-/// The abstraction BFS, generic over where admitted classes are kept.
-/// `new_sink` receives the initial state and its facts and returns the
-/// sink holding them as class 0 plus the initial frontier entry.
-fn det_bfs<S: StateSink>(
+/// [`det_abstraction_compact_opts`] with an observability handle: an
+/// overall span, one `frontier_level` span per BFS level, frontier/dedup
+/// metrics, the `store.*` gauge family, and rate-limited heartbeats. With
+/// a disabled handle this is exactly `det_abstraction_compact_opts` — no
+/// clock reads, no allocation.
+///
+/// The registry is only updated from the serial phases (and from the final
+/// [`EngineCounters::publish`]), so every metric except the `*_us` timing
+/// histograms is bit-identical at every thread count.
+pub fn det_abstraction_compact_traced(
     dcds: &Dcds,
     max_states: usize,
     opts: AbsOptions,
     obs: &Obs,
-    new_sink: impl FnOnce(DetState, Facts) -> (S, S::Entry),
-) -> DetRun<S> {
+) -> CompactDetAbstraction {
     let _run = span!(
         obs,
         "det_abstraction",
@@ -612,9 +487,11 @@ fn det_bfs<S: StateSink>(
         None
     };
     index.insert(sig0, key0);
-    let (mut sink, entry0) = new_sink(s0, f0);
+    let mut sink = StoreSink::new(&f0);
 
-    let mut frontier: Vec<S::Entry> = vec![entry0];
+    // Frontier entries carry the transient `⟨I, M⟩` structure of a state
+    // while its level is being expanded.
+    let mut frontier: Vec<(StateId, DetState)> = vec![(StateId::from_index(0), s0)];
     let mut outcome = AbsOutcome::Complete;
     let mut level = 0usize;
 
@@ -636,15 +513,14 @@ fn det_bfs<S: StateSink>(
             )
         });
 
-        let mut next_frontier: Vec<S::Entry> = Vec::new();
+        let mut next_frontier: Vec<(StateId, DetState)> = Vec::new();
         let mut dedup_hits = 0u64;
         let mut edges_added = 0u64;
         for chunk in frontier.chunks(level_chunk) {
             // Phase 1 (parallel): legal assignments, pre-instances, and
             // commitments per frontier state. Nothing here touches the pool.
             let enumerated: Vec<Vec<EnumeratedStep>> =
-                par_map_obs(chunk, threads, obs, "enumerate", |entry| {
-                    let state = sink.state(entry);
+                par_map_obs(chunk, threads, obs, "enumerate", |(_, state)| {
                     let idx = state_index(dcds, &state.instance);
                     legal_assignments_indexed(dcds, &state.instance, Some(&idx))
                         .into_iter()
@@ -673,15 +549,17 @@ fn det_bfs<S: StateSink>(
             // Census (parallel): each frontier state's value-occurrence
             // census, so every successor's signature derives from a fact
             // diff instead of a from-scratch pass.
-            let censuses: Vec<SigCensus> = par_map_obs(chunk, threads, obs, "census", |entry| {
-                let f = sink.state(entry).to_facts(num_rels);
-                SigCensus::new(f.iter(), &rigid)
-            });
+            let censuses: Vec<SigCensus> =
+                par_map_obs(chunk, threads, obs, "census", |(_, state)| {
+                    let f = state.to_facts(num_rels);
+                    SigCensus::new(f.iter(), &rigid)
+                });
 
             // Phase 2 (serial, frontier order): mint the fresh cells of
             // every commitment — the exact mint sequence of a serial loop.
             let mut tasks: Vec<StepTask> = Vec::new();
-            for (frontier_ix, (entry, per_state)) in chunk.iter().zip(&enumerated).enumerate() {
+            for (frontier_ix, ((source, _), per_state)) in chunk.iter().zip(&enumerated).enumerate()
+            {
                 for (_action, _sigma, pre, commitments) in per_state {
                     for commitment in commitments {
                         let cells = dcds_core::commitment::fresh_cell_count(commitment);
@@ -698,7 +576,7 @@ fn det_bfs<S: StateSink>(
                             .collect();
                         tasks.push(StepTask {
                             frontier_ix,
-                            source: S::id(entry),
+                            source: *source,
                             pre,
                             choice,
                         });
@@ -711,7 +589,7 @@ fn det_bfs<S: StateSink>(
             // — canonicalise it eagerly so the serial merge rarely has to.
             let step_timer = obs.timer();
             let stepped: Vec<StepResult> = par_map_obs(&tasks, threads, obs, "step", |task| {
-                let state = sink.state(&chunk[task.frontier_ix]);
+                let (_, state) = &chunk[task.frontier_ix];
                 let next = det_step_with_pre(dcds, state, task.pre, &task.choice).map(|next| {
                     let facts = next.to_facts(num_rels);
                     let sig =
@@ -760,9 +638,8 @@ fn det_bfs<S: StateSink>(
                             continue;
                         }
                         index.insert(sig, key);
-                        let entry = sink.admit(result.source, next, facts);
-                        let id = S::id(&entry);
-                        next_frontier.push(entry);
+                        let id = sink.admit(result.source, &facts);
+                        next_frontier.push((id, next));
                         id
                     }
                 };
@@ -772,7 +649,7 @@ fn det_bfs<S: StateSink>(
             }
             obs.time_us("abs.merge_phase_us", merge_timer);
         }
-        sink.publish(obs);
+        publish_store_gauges(obs, &sink.store);
         level_span.set("new_classes", next_frontier.len() as u64);
         event!(
             obs,
@@ -803,8 +680,8 @@ fn det_bfs<S: StateSink>(
         )
     });
 
-    DetRun {
-        sink,
+    CompactDetAbstraction {
+        ts: CompactTs::from_parts(sink.store, sink.refs, sink.succ, num_rels as u32),
         outcome,
         pool,
         counters,
@@ -871,8 +748,18 @@ mod tests {
     #[test]
     fn dedup_strategies_agree() {
         for dcds in [example_4_1(), example_4_2()] {
-            let a = det_abstraction_with(&dcds, 200, DedupStrategy::CanonicalKey);
-            let b = det_abstraction_with(&dcds, 200, DedupStrategy::PairwiseIso);
+            let with = |strategy| {
+                det_abstraction_opts(
+                    &dcds,
+                    200,
+                    AbsOptions {
+                        strategy,
+                        ..AbsOptions::default()
+                    },
+                )
+            };
+            let a = with(DedupStrategy::CanonicalKey);
+            let b = with(DedupStrategy::PairwiseIso);
             assert_eq!(a.ts.num_states(), b.ts.num_states());
             assert_eq!(a.ts.num_edges(), b.ts.num_edges());
             assert_eq!(a.outcome, b.outcome);
@@ -995,7 +882,7 @@ mod tests {
         counters: &mut EngineCounters,
     ) -> Option<usize> {
         let sig = facts.signature(&index.rigid);
-        index.find(facts, sig, key, counters, |ix| Cow::Borrowed(&classes[ix]))
+        index.find(facts, sig, key, counters, |ix| classes[ix].clone())
     }
 
     /// Unary fact sets over explicit raw values, for driving the index
@@ -1192,21 +1079,38 @@ mod tests {
     }
 
     #[test]
-    fn store_sink_matches_owned_sink_at_every_thread_count() {
+    fn decoded_states_match_store_at_every_thread_count() {
+        // Under either dedup strategy the run is the same at every thread
+        // count, and the wrapper's decoded `⟨I, M⟩` states re-encode to
+        // exactly the facts the store holds for their class.
         for dcds in [example_4_1(), example_4_3()] {
+            let num_rels = dcds.data.schema.len();
             for strategy in [DedupStrategy::CanonicalKey, DedupStrategy::PairwiseIso] {
-                for threads in [1usize, 2, 4, 8] {
+                let run = |threads| {
                     let opts = AbsOptions {
                         strategy,
                         threads,
                         ..AbsOptions::default()
                     };
-                    let owned = det_abstraction_opts(&dcds, 60, opts);
-                    let compact = det_abstraction_compact_opts(&dcds, 60, opts);
-                    assert_eq!(compact.ts.to_ts(), owned.ts, "{strategy:?} t={threads}");
-                    assert_eq!(compact.outcome, owned.outcome);
-                    assert_eq!(compact.pool.len(), owned.pool.len());
-                    assert_eq!(compact.counters, owned.counters);
+                    (
+                        det_abstraction_opts(&dcds, 60, opts),
+                        det_abstraction_compact_opts(&dcds, 60, opts),
+                    )
+                };
+                let (base, _) = run(1);
+                for threads in [1usize, 2, 4, 8] {
+                    let (abs, compact) = run(threads);
+                    assert_eq!(abs.ts, base.ts, "{strategy:?} t={threads}");
+                    assert_eq!(abs.states, base.states);
+                    assert_eq!(abs.outcome, base.outcome);
+                    assert_eq!(abs.pool.len(), base.pool.len());
+                    assert_eq!(abs.counters, base.counters);
+                    assert_eq!(compact.counters, base.counters);
+                    for (s, state) in compact.ts.state_ids().zip(&abs.states) {
+                        let stored = compact.ts.store().facts(compact.ts.state_ref(s));
+                        assert_eq!(state.to_facts(num_rels), stored);
+                        assert_eq!(&state.instance, abs.ts.db(s));
+                    }
                 }
             }
         }

@@ -10,11 +10,11 @@
 //!   run-bounded systems the construction saturates into a finite system
 //!   history-preserving bisimilar to the concrete one (Figures 2b, 3b); for
 //!   run-unbounded systems it provably cannot saturate (Figure 4b) and
-//!   reports truncation. One chunked, level-synchronised BFS builds it,
-//!   keeping admitted states either as owned structures
-//!   ([`det_abstraction_opts`]) or in the compact
-//!   [`dcds_reldata::StateStore`] ([`det_abstraction_compact_opts`]), with
-//!   identical output.
+//!   reports truncation. One chunked, level-synchronised BFS builds it and
+//!   keeps admitted states only in the compact
+//!   [`dcds_reldata::StateStore`] ([`det_abstraction_compact_opts`]);
+//!   [`det_abstraction_opts`] materialises the result as an owned `Ts`
+//!   plus the decoded `⟨I, M⟩` states.
 //! * [`mod@rcycl`] — **Algorithm RCYCL** (Appendix C.3) for
 //!   **nondeterministic** services: builds an *eventually recycling
 //!   pruning* by preferring recycled values (`UsedValues` bookkeeping) over
@@ -36,8 +36,8 @@ pub mod rcycl;
 pub use bounds::{observe_run_bound, observe_state_bound, BoundObservation};
 pub use det_abs::{
     det_abstraction, det_abstraction_compact_opts, det_abstraction_compact_traced,
-    det_abstraction_opts, det_abstraction_traced, det_abstraction_with, AbsOptions, AbsOutcome,
-    CompactDetAbstraction, DedupStrategy, DetAbstraction, DEFAULT_LEVEL_CHUNK,
+    det_abstraction_opts, AbsOptions, AbsOutcome, CompactDetAbstraction, DedupStrategy,
+    DetAbstraction, DEFAULT_LEVEL_CHUNK,
 };
 pub use pruning::{commitment_coverage_holds, commitment_coverage_holds_traced};
 pub use rcycl::{

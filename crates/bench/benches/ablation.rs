@@ -9,7 +9,7 @@
 //!   everywhere (`∀~x. R(~x) → ...`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dcds_abstraction::{det_abstraction_with, DedupStrategy};
+use dcds_abstraction::{det_abstraction_opts, AbsOptions, DedupStrategy};
 use dcds_bench::{examples, travel};
 use dcds_folang::{holds_closed, holds_unguided, parse_formula, Assignment};
 use dcds_reldata::{ConstantPool, Instance, Schema, Tuple};
@@ -24,20 +24,22 @@ fn bench_dedup_strategies(c: &mut Criterion) {
         ("audit_small", travel::audit_system_small()),
     ];
     for (name, dcds) in &systems {
-        group.bench_with_input(BenchmarkId::new("canonical_key", name), dcds, |b, d| {
-            b.iter(|| {
-                black_box(det_abstraction_with(d, 2_000, DedupStrategy::CanonicalKey))
-                    .ts
-                    .num_states()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("pairwise_iso", name), dcds, |b, d| {
-            b.iter(|| {
-                black_box(det_abstraction_with(d, 2_000, DedupStrategy::PairwiseIso))
-                    .ts
-                    .num_states()
-            })
-        });
+        for (id, strategy) in [
+            ("canonical_key", DedupStrategy::CanonicalKey),
+            ("pairwise_iso", DedupStrategy::PairwiseIso),
+        ] {
+            let opts = AbsOptions {
+                strategy,
+                ..AbsOptions::default()
+            };
+            group.bench_with_input(BenchmarkId::new(id, name), dcds, |b, d| {
+                b.iter(|| {
+                    black_box(det_abstraction_opts(d, 2_000, opts))
+                        .ts
+                        .num_states()
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -27,10 +27,9 @@
 //! owned-`Instance` engines are run at — recording states/sec, the
 //! deterministic bytes-per-state high-water estimate, and the delta-share
 //! ratio, and asserting (a) bytes/state grows less than 2× from 100k to
-//! 500k states and (b) on an overlapping budget at 1, 2, 4 and 8 threads,
-//! the det abstraction's store sink is bit-identical to its owned sink
-//! (states, edges, pool, every counter) and RCYCL's output is the same at
-//! every thread count.
+//! 500k states and (b) on an overlapping budget, every engine's output
+//! (states, edges, pool, every counter) is the same at 2, 4 and 8 threads
+//! as at 1.
 //!
 //! Writes `BENCH_abstraction.json`, `BENCH_mucalc.json`, `BENCH_query.json`
 //! and `BENCH_scale.json` into the current directory so the perf
@@ -65,8 +64,7 @@
 
 use dcds_abstraction::{
     det_abstraction_compact_opts, det_abstraction_compact_traced, det_abstraction_opts,
-    det_abstraction_traced, rcycl_compact_opts, rcycl_compact_traced, rcycl_opts, AbsOptions,
-    DedupStrategy,
+    rcycl_compact_opts, rcycl_compact_traced, rcycl_opts, AbsOptions, DedupStrategy,
 };
 use dcds_bench::report::{self, Kind, Thresholds};
 use dcds_bench::{examples, queries, synthetic, travel};
@@ -487,11 +485,8 @@ struct ScaleWorkload {
     /// dedup-throughput check (det engines must stay at or above 0.5; a
     /// linear class-index scan collapses this towards `lo / hi`).
     throughput_ratio: f64,
-    /// What was asserted bit-identical at `overlap_budget` for every
-    /// thread count: `owned_vs_store` (det) or `thread_invariance`
-    /// (RCYCL, which has a single engine).
-    parity: &'static str,
-    /// Budget at which `parity` was asserted.
+    /// Budget at which the output was asserted bit-identical at every
+    /// thread count.
     overlap_budget: usize,
 }
 
@@ -556,27 +551,26 @@ fn gate_ratio(runs: &[ScaleRun], budgets: (usize, usize), measure: fn(&ScaleRun)
     at(budgets.1) / at(budgets.0)
 }
 
-/// Assert the det abstraction's store sink is bit-identical to its owned
-/// sink — same states, edges, outcome, minted pool, and every counter
-/// (including canonical keys computed) — at every thread count.
-fn assert_det_overlap(dcds: &Dcds, budget: usize) {
-    for threads in THREAD_COUNTS {
+/// Assert the det abstraction's output — states, edges, outcome, minted
+/// pool, and every counter (including canonical keys computed) — is the
+/// same at every thread count as at one thread.
+fn assert_det_thread_invariant(dcds: &Dcds, budget: usize) {
+    let run = |threads| {
         let opts = AbsOptions {
             threads,
             ..AbsOptions::default()
         };
-        let owned = det_abstraction_opts(dcds, budget, opts);
-        let compact = det_abstraction_compact_opts(dcds, budget, opts);
+        det_abstraction_opts(dcds, budget, opts)
+    };
+    let base = run(1);
+    for threads in &THREAD_COUNTS[1..] {
+        let abs = run(*threads);
+        assert_eq!(abs.ts, base.ts, "det diverged at {threads} threads");
+        assert_eq!(abs.outcome, base.outcome);
+        assert_eq!(abs.pool.len(), base.pool.len());
         assert_eq!(
-            compact.ts.to_ts(),
-            owned.ts,
-            "det store sink diverged from the owned sink at {threads} threads"
-        );
-        assert_eq!(compact.outcome, owned.outcome);
-        assert_eq!(compact.pool.len(), owned.pool.len());
-        assert_eq!(
-            compact.counters, owned.counters,
-            "det store sink counters diverged at {threads} threads"
+            abs.counters, base.counters,
+            "det counters diverged at {threads} threads"
         );
     }
 }
@@ -606,7 +600,7 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
     // bytes/state isolates the store's own per-state overhead.
     let det_overlap = 10_000;
     let chain = synthetic::service_chain(16);
-    assert_det_overlap(&chain, det_overlap);
+    assert_det_thread_invariant(&chain, det_overlap);
     let det = ScaleWorkload {
         name: "service_chain(16)".into(),
         engine: "det_abstraction_compact",
@@ -619,7 +613,6 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
         gate_budgets: (100_000, 500_000),
         bytes_growth: 0.0,
         throughput_ratio: 0.0,
-        parity: "owned_vs_store",
         overlap_budget: det_overlap,
     };
 
@@ -634,7 +627,7 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
     // rather than successor generation.
     let coll_overlap = 2_000;
     let coll = synthetic::collision_pairs(12);
-    assert_det_overlap(&coll, coll_overlap);
+    assert_det_thread_invariant(&coll, coll_overlap);
     let collisions = ScaleWorkload {
         name: "collision_pairs(12)".into(),
         engine: "det_abstraction_compact",
@@ -642,7 +635,6 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
         gate_budgets: (30_000, 60_000),
         bytes_growth: 0.0,
         throughput_ratio: 0.0,
-        parity: "owned_vs_store",
         overlap_budget: coll_overlap,
     };
 
@@ -661,7 +653,6 @@ fn scale_workloads() -> Vec<ScaleWorkload> {
         gate_budgets: (100_000, 500_000),
         bytes_growth: 0.0,
         throughput_ratio: 0.0,
-        parity: "thread_invariance",
         overlap_budget: rcycl_overlap,
     };
 
@@ -949,7 +940,7 @@ fn main() {
     // (registry counters, gauges, and non-timing histograms) next to the
     // wall-clock numbers.
     let obs = Obs::enabled(ObsConfig::default());
-    let _ = det_abstraction_traced(
+    let _ = det_abstraction_compact_traced(
         &synthetic::service_cycle(6),
         1500,
         AbsOptions::default(),
@@ -1273,7 +1264,7 @@ fn main() {
         }
         println!(
             "  {}k -> {}k: bytes/state x{:.2} (must stay < 2x), states/s x{:.2}{}; \
-             {} asserted at {} states, threads 1/2/4/8",
+             thread invariance asserted at {} states, threads 1/2/4/8",
             w.gate_budgets.0 / 1000,
             w.gate_budgets.1 / 1000,
             w.bytes_growth,
@@ -1283,7 +1274,6 @@ fn main() {
             } else {
                 ""
             },
-            w.parity,
             w.overlap_budget
         );
     }
@@ -1313,7 +1303,7 @@ fn main() {
         let _ = writeln!(json, "      \"name\": \"{}\",", w.name);
         let _ = writeln!(json, "      \"engine\": \"{}\",", w.engine);
         let _ = writeln!(json, "      \"overlap_budget\": {},", w.overlap_budget);
-        let _ = writeln!(json, "      \"parity\": \"{}\",", w.parity);
+        let _ = writeln!(json, "      \"parity\": \"thread_invariance\",");
         let _ = writeln!(json, "      \"runs\": [");
         for (ri, r) in w.runs.iter().enumerate() {
             let _ = writeln!(

@@ -370,12 +370,19 @@ mod tests {
         // first k tags (telephone numbers T(k)): each call result is fresh
         // or paired with one unpaired earlier result. For n = 5 the
         // saturated system has T(0) + ... + T(5) = 1+1+2+4+10+26 states.
-        use dcds_abstraction::{det_abstraction_with, AbsOutcome, DedupStrategy};
+        use dcds_abstraction::{det_abstraction_opts, AbsOptions, AbsOutcome, DedupStrategy};
         let dcds = collision_pairs(5);
-        let keyed = det_abstraction_with(&dcds, 500, DedupStrategy::CanonicalKey);
+        let with = |strategy| {
+            let opts = AbsOptions {
+                strategy,
+                ..AbsOptions::default()
+            };
+            det_abstraction_opts(&dcds, 500, opts)
+        };
+        let keyed = with(DedupStrategy::CanonicalKey);
         assert_eq!(keyed.outcome, AbsOutcome::Complete);
         assert_eq!(keyed.ts.num_states(), 44);
-        let pairwise = det_abstraction_with(&dcds, 500, DedupStrategy::PairwiseIso);
+        let pairwise = with(DedupStrategy::PairwiseIso);
         assert_eq!(pairwise.ts.num_states(), 44);
         assert_eq!(keyed.ts.num_edges(), pairwise.ts.num_edges());
     }

@@ -6,11 +6,12 @@
 //! memory is the *delta* a transition made, not the instance. States can
 //! still be materialised on demand ([`CompactTs::db`]) and the whole
 //! system can be converted to an owned [`Ts`] ([`CompactTs::to_ts`]) —
-//! which the differential tests use to assert the compact engines are
-//! bit-identical to the legacy owned-instance path.
+//! which the differential tests use to compare the engines with their
+//! sequential references.
 
 use crate::ts::{StateId, Ts};
-use dcds_reldata::{Instance, StateRef, StateStore, StoreStats};
+use dcds_reldata::{Instance, StateRef, StateStore, StoreStats, Value};
+use std::collections::HashSet;
 
 /// An explicit transition system whose states live in a [`StateStore`].
 #[derive(Debug)]
@@ -83,6 +84,24 @@ impl CompactTs {
         (0..self.states.len()).map(StateId::from_index)
     }
 
+    /// Maximum `|ADOM(db(s))|` over all states — [`Ts::max_state_adom`]
+    /// read off the store, without materialising any instance.
+    pub fn max_state_adom(&self) -> usize {
+        let mut adom: HashSet<Value> = HashSet::new();
+        self.states
+            .iter()
+            .map(|&r| {
+                adom.clear();
+                let view = self.store.view(r);
+                for (_, t) in view.iter().take_while(|(c, _)| *c < self.num_rels) {
+                    adom.extend(t.iter());
+                }
+                adom.len()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     /// The backing store.
     pub fn store(&self) -> &StateStore {
         &self.store
@@ -93,8 +112,8 @@ impl CompactTs {
         self.store.stats()
     }
 
-    /// Materialise the whole system as an owned [`Ts`] — the oracle form
-    /// the differential tests compare against the legacy engines.
+    /// Materialise the whole system as an owned [`Ts`] — the form the
+    /// model checker, the dot output and the differential tests take.
     pub fn to_ts(&self) -> Ts {
         let mut ts = Ts::new(self.db(self.initial));
         for s in self.state_ids().skip(1) {
@@ -127,6 +146,10 @@ mod tests {
         let r0 = store.insert(None, &f0).state;
         let mut f1 = f0.clone();
         f1.insert(p.index() as u32, Tuple::from([b]));
+        // A call-map-style fact (color past the schema) must not count
+        // towards the database's active domain.
+        let c = pool.intern("c");
+        f1.insert(schema.len() as u32, Tuple::from([a, c]));
         let r1 = store.insert(Some(r0), &f1).state;
         let compact = CompactTs::from_parts(
             store,
@@ -141,5 +164,7 @@ mod tests {
         assert_eq!(ts.num_edges(), 2);
         assert!(ts.db(StateId::from_index(1)).contains(p, &Tuple::from([b])));
         assert_eq!(ts.db(compact.initial()), &compact.db(compact.initial()));
+        assert_eq!(compact.max_state_adom(), 2);
+        assert_eq!(compact.max_state_adom(), ts.max_state_adom());
     }
 }

@@ -17,9 +17,10 @@ use crate::action::ActionId;
 use crate::commitment::{enumerate_commitments, CommitTarget, Commitment};
 use crate::dcds::Dcds;
 use crate::do_op::{do_action, legal_assignments, resolve_with_map};
+use crate::service::FuncId;
 use crate::term::ServiceCall;
 use dcds_folang::Assignment;
-use dcds_reldata::{ConstantPool, Facts, Instance, Tuple, Value};
+use dcds_reldata::{ConstantPool, Facts, Instance, RelId, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A state of the deterministic concrete transition system: `⟨I, M⟩`.
@@ -63,6 +64,30 @@ impl DetState {
             facts.insert((num_rels + call.func.index()) as u32, Tuple::from(t));
         }
         facts
+    }
+
+    /// Decode a [`DetState::to_facts`] encoding — its exact inverse: colors
+    /// below `num_rels` are database facts, every other fact is the
+    /// call-map entry `f(v₁..vₙ) ↦ r` of service `color − num_rels`.
+    pub fn from_facts(facts: &Facts, num_rels: usize) -> Self {
+        let mut state = DetState::default();
+        for (color, t) in facts.iter() {
+            let color = color as usize;
+            if color < num_rels {
+                state.instance.insert(RelId::from_index(color), t.clone());
+            } else {
+                let (result, args) = t
+                    .values()
+                    .split_last()
+                    .expect("a call-map fact ends with the call's result");
+                let call = ServiceCall {
+                    func: FuncId::from_index(color - num_rels),
+                    args: args.to_vec(),
+                };
+                state.call_map.insert(call, *result);
+            }
+        }
+        state
     }
 }
 
@@ -325,5 +350,25 @@ mod tests {
             a,
         );
         assert_ne!(s0.to_facts(n), s0b.to_facts(n));
+    }
+
+    #[test]
+    fn from_facts_inverts_to_facts() {
+        // A state after one step of Example 4.1: a non-empty instance and a
+        // call map holding both `f(a)` and `g(a)`.
+        let dcds = example_4_1();
+        let n = dcds.data.schema.len();
+        let alpha = dcds.action_id("alpha").unwrap();
+        let mut pool = dcds.working_pool();
+        let b = pool.mint("v");
+        let s0 = DetState::initial(&dcds);
+        let pre = do_action(&dcds, &s0.instance, alpha, &Assignment::new());
+        let choice: BTreeMap<ServiceCall, Value> =
+            pre.calls().into_iter().map(|c| (c, b)).collect();
+        let s1 = det_step(&dcds, &s0, alpha, &Assignment::new(), &choice).unwrap();
+        assert_eq!(s1.call_map.len(), 2);
+        for s in [s0, s1] {
+            assert_eq!(DetState::from_facts(&s.to_facts(n), n), s);
+        }
     }
 }

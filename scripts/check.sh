@@ -37,11 +37,11 @@ cargo test -q --test symbolic_differential
 
 echo "== compact-store differential suite"
 # Arena/delta store vs owned-Instance oracle: materialisation-level
-# (reldata) and engine-level at 1/2/4/8 threads — the det abstraction's
-# store sink vs its owned sink (counters included, every level_chunk,
-# the collision-heavy keyed-dedup family) and the store RCYCL vs a
-# sequential reference RCYCL. Part of `cargo test` above; named reruns
-# keep the gate loud if a target is ever renamed.
+# (reldata) and engine-level at 1/2/4/8 threads — store engine vs
+# sequential reference for both semantics: the det abstraction (decoded
+# states included; counters thread- and level_chunk-invariant; the
+# collision-heavy keyed-dedup family) and RCYCL. Part of `cargo test`
+# above; named reruns keep the gate loud if a target is ever renamed.
 cargo test -q -p dcds-reldata --test store_differential
 cargo test -q -p dcds-bench --test compact_differential
 

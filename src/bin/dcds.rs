@@ -44,6 +44,14 @@
 //! warnings, heartbeats — go to stderr, so `dcds ... > out.txt` captures
 //! the result without the commentary.
 //!
+//! ## State storage
+//!
+//! Both explicit engines keep their states in the compact state store, so
+//! every explicit `abstract`/`check` run reports the store's size on
+//! stderr (`compact store: …`). `abstract` reads its summary line off the
+//! store; only `--dot` and the model checker materialise the system as
+//! owned instances.
+//!
 //! ## Exit codes (`dcds check`)
 //!
 //! Scripting/CI contract: **0** — the property holds on a complete
@@ -71,16 +79,15 @@
 //! selected format).
 
 use dcds_verify::abstraction::{
-    det_abstraction_compact_traced, det_abstraction_traced, rcycl_compact_traced, AbsOptions,
-    AbsOutcome,
+    det_abstraction_compact_traced, rcycl_compact_traced, AbsOptions, AbsOutcome,
 };
 use dcds_verify::analysis::{
     dataflow_dot, dataflow_graph, dependency_graph, depgraph_dot, gr_acyclicity, is_weakly_acyclic,
     position_ranks, render_dep_cycle, run_bound_estimate, state_bound_estimate, weak_cycle_witness,
 };
-use dcds_verify::cli::{flag_value, has_flag, threads_flag, ObsCli};
-use dcds_verify::core::{configured_threads, EngineCounters};
-use dcds_verify::core::{parse_dcds, to_spec, AnswerPolicy, Dcds, Runner, Ts};
+use dcds_verify::cli::{flag_value, has_flag, string_flag, threads_flag, ObsCli};
+use dcds_verify::core::{configured_threads, CompactTs, EngineCounters};
+use dcds_verify::core::{parse_dcds, to_spec, AnswerPolicy, Dcds, Runner};
 use dcds_verify::lint::{codes, lint_spec, render_json, render_text, Diagnostic};
 use dcds_verify::mucalc::{check_traced, classify, diagnostics, parse_mu, McOptions, SafetyMode};
 use dcds_verify::obs::{export::json_escape, span, Obs};
@@ -116,12 +123,11 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   dcds analyze  <spec.dcds> [obs flags]
-  dcds abstract <spec.dcds> [--max-states N] [--threads N] [--dot] [--compact]
-                [obs flags]
+  dcds abstract <spec.dcds> [--max-states N] [--threads N] [--dot] [obs flags]
   dcds check    <spec.dcds> <formula> [--engine explicit|symbolic]
                 [--max-states N] [--threads N] [--witness]
                 [--max-iters N] [--max-clauses N]
-                [--format text|json] [--compact] [obs flags]
+                [--format text|json] [obs flags]
   dcds run      <spec.dcds> [--steps N] [--seed S]
   dcds dot      <spec.dcds> [--graph dataflow|depgraph]
   dcds fmt      <spec.dcds>
@@ -142,10 +148,6 @@ obs flags (analyze, abstract, check, lint):
 `--engine symbolic` decides AG/EF safety properties by backward
 reachability without requiring boundedness; budgets are `--max-iters`
 (regression depth) and `--max-clauses` (clause set size).
-`--compact` builds a deterministic spec's abstraction through the
-arena/delta state store (flat per-state memory; identical output) and
-reports store stats. Nondeterministic specs always run RCYCL over the
-store, so the flag does not change them.
 `dcds lint` exits 0 when the spec is clean, 1 on errors (or warnings under
 --deny warnings), and 2 when the spec cannot be parsed.
 Set DCDS_PROGRESS=1s (or 500ms, ...) for live heartbeats on stderr.";
@@ -162,7 +164,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             flag_value(args, "--max-states")?.unwrap_or(10_000),
             threads_flag(args)?.unwrap_or_else(configured_threads),
             has_flag(args, "--dot"),
-            has_flag(args, "--compact"),
             &ObsCli::parse(args)?,
         ),
         "check" => {
@@ -176,7 +177,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     threads_flag(args)?.unwrap_or_else(configured_threads),
                     has_flag(args, "--witness"),
                     parse_format(args)?,
-                    has_flag(args, "--compact"),
                     &ObsCli::parse(args)?,
                 ),
                 Engine::Symbolic => {
@@ -206,10 +206,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         ),
         "dot" => do_dot(
             args.get(1).ok_or("missing spec path")?,
-            args.iter()
-                .position(|a| a == "--graph")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
+            string_flag(args, "--graph")?
+                .as_deref()
                 .unwrap_or("dataflow"),
         ),
         "fmt" => do_fmt(args.get(1).ok_or("missing spec path")?),
@@ -256,12 +254,7 @@ enum Engine {
 }
 
 fn parse_engine(args: &[String]) -> Result<Engine, String> {
-    match args
-        .iter()
-        .position(|a| a == "--engine")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+    match string_flag(args, "--engine")?.as_deref() {
         None | Some("explicit") => Ok(Engine::Explicit),
         Some("symbolic") => Ok(Engine::Symbolic),
         Some(other) => Err(format!("unknown engine `{other}` (explicit|symbolic)")),
@@ -269,12 +262,7 @@ fn parse_engine(args: &[String]) -> Result<Engine, String> {
 }
 
 fn parse_format(args: &[String]) -> Result<OutputFormat, String> {
-    match args
-        .iter()
-        .position(|a| a == "--format")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+    match string_flag(args, "--format")?.as_deref() {
         None | Some("text") => Ok(OutputFormat::Text),
         Some("json") => Ok(OutputFormat::Json),
         Some(other) => Err(format!("unknown format `{other}` (text|json)")),
@@ -372,64 +360,38 @@ fn analyze(path: &str, obs_cli: &ObsCli) -> Result<(), String> {
     obs_cli.finish(&obs)
 }
 
-/// Build the finite abstraction: RCYCL for nondeterministic services
-/// (always over the state store), the Thm 4.3 abstraction for
-/// deterministic ones (over the store with `compact`, owned otherwise).
-/// Store-backed systems are materialised to an owned [`Ts`] once, here,
-/// because every downstream consumer (model checker, dot output) takes
-/// `&Ts`.
+/// Build the finite abstraction — RCYCL for nondeterministic services,
+/// the Thm 4.3 abstraction for deterministic ones — with its states in
+/// the state store. `abstract` reads its summary straight off the store;
+/// only the dot output and the model checker materialise an owned `Ts`.
 fn build_abstraction(
     dcds: &Dcds,
     max_states: usize,
     threads: usize,
-    compact: bool,
     obs: &Obs,
-) -> (
-    Ts,
-    ConstantPool,
-    bool,
-    &'static str,
-    EngineCounters,
-    Option<StoreStats>,
-) {
+) -> (CompactTs, ConstantPool, bool, &'static str, EngineCounters) {
     if !dcds.is_deterministic() {
         let res = rcycl_compact_traced(dcds, max_states, threads, obs);
-        let stats = res.ts.store_stats();
         return (
-            res.ts.to_ts(),
+            res.ts,
             res.pool,
             res.complete,
-            "RCYCL pruning (Thm 5.4, compact store)",
+            "RCYCL pruning (Thm 5.4)",
             res.counters,
-            Some(stats),
         );
     }
     let opts = AbsOptions {
         threads,
         ..AbsOptions::default()
     };
-    if compact {
-        let abs = det_abstraction_compact_traced(dcds, max_states, opts, obs);
-        let stats = abs.ts.store_stats();
-        (
-            abs.ts.to_ts(),
-            abs.pool,
-            abs.outcome == AbsOutcome::Complete,
-            "deterministic abstraction (Thm 4.3, compact store)",
-            abs.counters,
-            Some(stats),
-        )
-    } else {
-        let abs = det_abstraction_traced(dcds, max_states, opts, obs);
-        (
-            abs.ts,
-            abs.pool,
-            abs.outcome == AbsOutcome::Complete,
-            "deterministic abstraction (Thm 4.3)",
-            abs.counters,
-            None,
-        )
-    }
+    let abs = det_abstraction_compact_traced(dcds, max_states, opts, obs);
+    (
+        abs.ts,
+        abs.pool,
+        abs.outcome == AbsOutcome::Complete,
+        "deterministic abstraction (Thm 4.3)",
+        abs.counters,
+    )
 }
 
 /// Human-readable store-stats line (stderr commentary, not a result).
@@ -450,7 +412,6 @@ fn do_abstract(
     max_states: usize,
     threads: usize,
     dot: bool,
-    compact: bool,
     obs_cli: &ObsCli,
 ) -> Result<(), String> {
     let obs = obs_cli.session("abstract", path)?;
@@ -459,8 +420,7 @@ fn do_abstract(
         let _s = span!(obs, "parse_spec");
         load(path)?
     };
-    let (ts, pool, complete, how, counters, store_stats) =
-        build_abstraction(&dcds, max_states, threads, compact, &obs);
+    let (ts, pool, complete, how, counters) = build_abstraction(&dcds, max_states, threads, &obs);
     println!(
         "{how}: {} states, {} edges, max |adom(state)| = {}, complete = {complete}",
         ts.num_states(),
@@ -477,9 +437,7 @@ fn do_abstract(
             rate * 100.0
         );
     }
-    if let Some(stats) = &store_stats {
-        report_store_stats(stats);
-    }
+    report_store_stats(&ts.store_stats());
     if !complete {
         eprintln!(
             "note: budget of {max_states} states hit — the system may be run-/state-unbounded; \
@@ -487,13 +445,12 @@ fn do_abstract(
         );
     }
     if dot {
-        println!("{}", ts.to_dot(&dcds.data.schema, &pool));
+        println!("{}", ts.to_ts().to_dot(&dcds.data.schema, &pool));
     }
     drop(run_span);
     obs_cli.finish(&obs)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn do_check(
     path: &str,
     formula: &str,
@@ -501,7 +458,6 @@ fn do_check(
     threads: usize,
     witness: bool,
     format: OutputFormat,
-    compact: bool,
     obs_cli: &ObsCli,
 ) -> Result<ExitCode, String> {
     let obs = obs_cli.session("check", path)?;
@@ -514,11 +470,11 @@ fn do_check(
     let mut pool_for_parse = dcds.data.pool.clone();
     let phi = parse_mu(formula, &mut schema, &mut pool_for_parse).map_err(|e| e.to_string())?;
     let fragment = classify(&phi).map_err(|e| e.to_string())?;
-    let (ts, pool, complete, how, counters, store_stats) =
-        build_abstraction(&dcds, max_states, threads, compact, &obs);
-    if let Some(stats) = &store_stats {
-        report_store_stats(stats);
-    }
+    let (compact, pool, complete, how, counters) =
+        build_abstraction(&dcds, max_states, threads, &obs);
+    report_store_stats(&compact.store_stats());
+    let ts = compact.to_ts();
+    drop(compact);
     let run = check_traced(&phi, &ts, McOptions { threads }, &obs).map_err(|e| e.to_string())?;
     let verdict = run.holds;
     match format {

@@ -177,61 +177,85 @@ fn check_format_json_is_one_object_on_stdout() {
 
 #[test]
 fn check_compact_format_json_keeps_stdout_clean() {
-    // `--compact` adds a human store-stats line; it must land on stderr so
-    // stdout stays exactly one machine-readable JSON object, byte-for-byte
-    // parseable by `jq`-style consumers.
-    let (code, stdout, stderr) = dcds_streams(&[
-        "check",
-        &spec("ping_pong.dcds"),
-        "nu Z . (exists X . live(X) & (R(X) | Q(X))) & [] Z",
-        "--format",
-        "json",
-        "--compact",
-    ]);
-    assert_eq!(code, 0, "{stdout}{stderr}");
-    let line = stdout.trim();
-    assert_eq!(line.lines().count(), 1, "one JSON object: {stdout}");
-    assert!(line.starts_with("{\"fragment\":"), "{line}");
-    assert!(line.ends_with('}'), "{line}");
-    assert!(line.contains("\"verdict\":true"), "{line}");
-    assert!(line.contains("compact store"), "{line}");
-    assert!(!stdout.contains("compact store: "), "{stdout}");
-    assert!(!stdout.contains("mc engine"), "{stdout}");
-    // The human commentary lives on stderr.
-    assert!(stderr.contains("compact store: "), "{stderr}");
+    // Every explicit run adds a human store-stats line; it must land on
+    // stderr so stdout stays exactly one machine-readable JSON object,
+    // byte-for-byte parseable by `jq`-style consumers — for both semantics.
+    for (spec_name, formula, budget, code_want, how) in [
+        (
+            "ping_pong.dcds",
+            "nu Z . (exists X . live(X) & (R(X) | Q(X))) & [] Z",
+            "10000",
+            0,
+            "RCYCL pruning (Thm 5.4)",
+        ),
+        (
+            "unbounded_safe.dcds",
+            "nu Z . true & [] Z",
+            "40",
+            2,
+            "deterministic abstraction (Thm 4.3)",
+        ),
+    ] {
+        let (code, stdout, stderr) = dcds_streams(&[
+            "check",
+            &spec(spec_name),
+            formula,
+            "--max-states",
+            budget,
+            "--format",
+            "json",
+        ]);
+        assert_eq!(code, code_want, "{stdout}{stderr}");
+        let line = stdout.trim();
+        assert_eq!(line.lines().count(), 1, "one JSON object: {stdout}");
+        assert!(line.starts_with("{\"fragment\":"), "{line}");
+        assert!(line.ends_with('}'), "{line}");
+        assert!(line.contains(&format!("\"how\":\"{how}\"")), "{line}");
+        assert!(line.contains("\"verdict\":true"), "{line}");
+        assert!(!stdout.contains("compact store"), "{stdout}");
+        assert!(!stdout.contains("mc engine"), "{stdout}");
+        // The human commentary lives on stderr.
+        assert!(stderr.contains("compact store: "), "{stderr}");
+    }
 }
 
 #[test]
-fn abstract_dot_is_the_same_with_and_without_compact_on_det_specs() {
-    // On a deterministic spec `--compact` only swaps the state sink of the
-    // abstraction BFS: stdout (summary, counters, dot graph) must be
-    // byte-identical once the `, compact store` label is stripped.
-    let spec_path = spec("unbounded_safe.dcds");
-    let run = |extra: &[&str]| {
-        let mut args = vec![
-            "abstract",
-            spec_path.as_str(),
-            "--max-states",
+fn abstract_summary_is_the_same_with_and_without_dot() {
+    // `abstract` reads its summary off the state store; `--dot`
+    // materialises the system to draw it. Both must report the same
+    // system, for either semantics: stdout without `--dot` is a prefix of
+    // stdout with it, and the store-stats line is on stderr either way.
+    for (spec_name, budget, how) in [
+        (
+            "unbounded_safe.dcds",
             "40",
-            "--threads",
-            "2",
-            "--dot",
-        ];
-        args.extend_from_slice(extra);
-        let (code, stdout, stderr) = dcds_streams(&args);
-        assert_eq!(code, 0, "{stdout}{stderr}");
-        (stdout, stderr)
-    };
-    let (owned, owned_err) = run(&[]);
-    let (compact, compact_err) = run(&["--compact"]);
-    assert!(owned.contains("digraph"), "{owned}");
-    assert!(
-        compact.starts_with("deterministic abstraction (Thm 4.3, compact store): 40 states"),
-        "{compact}"
-    );
-    assert_eq!(compact.replace(", compact store", ""), owned);
-    assert!(!owned_err.contains("compact store: "), "{owned_err}");
-    assert!(compact_err.contains("compact store: "), "{compact_err}");
+            "deterministic abstraction (Thm 4.3): 40 states",
+        ),
+        ("ping_pong.dcds", "10000", "RCYCL pruning (Thm 5.4): "),
+    ] {
+        let spec_path = spec(spec_name);
+        let run = |extra: &[&str]| {
+            let mut args = vec![
+                "abstract",
+                spec_path.as_str(),
+                "--max-states",
+                budget,
+                "--threads",
+                "2",
+            ];
+            args.extend_from_slice(extra);
+            let (code, stdout, stderr) = dcds_streams(&args);
+            assert_eq!(code, 0, "{stdout}{stderr}");
+            assert!(stderr.contains("compact store: "), "{stderr}");
+            stdout
+        };
+        let summary = run(&[]);
+        let with_dot = run(&["--dot"]);
+        assert!(summary.starts_with(how), "{summary}");
+        assert_eq!(summary.lines().count(), 2, "summary + engine: {summary}");
+        assert!(with_dot.starts_with(&summary), "{with_dot}");
+        assert!(with_dot[summary.len()..].contains("digraph"), "{with_dot}");
+    }
 }
 
 #[test]
@@ -650,6 +674,40 @@ fn symbolic_engine_rejects_non_safety_formulas() {
     ]);
     assert_eq!(code2, 1, "{text2}");
     assert!(text2.contains("unknown engine"), "{text2}");
+}
+
+#[test]
+fn check_format_without_value_is_a_usage_error() {
+    let (code, text) = dcds_code(&[
+        "check",
+        &spec("ping_pong.dcds"),
+        "nu Z . true & [] Z",
+        "--format",
+    ]);
+    assert_eq!(code, 1, "{text}");
+    assert!(text.contains("error: --format needs a value"), "{text}");
+    assert!(!text.contains("verdict: "), "{text}");
+}
+
+#[test]
+fn check_engine_without_value_is_a_usage_error() {
+    let (code, text) = dcds_code(&[
+        "check",
+        &spec("ping_pong.dcds"),
+        "nu Z . true & [] Z",
+        "--engine",
+    ]);
+    assert_eq!(code, 1, "{text}");
+    assert!(text.contains("error: --engine needs a value"), "{text}");
+    assert!(!text.contains("verdict: "), "{text}");
+}
+
+#[test]
+fn dot_graph_without_value_is_a_usage_error() {
+    let (code, text) = dcds_code(&["dot", &spec("ping_pong.dcds"), "--graph"]);
+    assert_eq!(code, 1, "{text}");
+    assert!(text.contains("error: --graph needs a value"), "{text}");
+    assert!(!text.contains("digraph"), "{text}");
 }
 
 #[test]

@@ -21,7 +21,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use dcds_verify::abstraction::{
-    det_abstraction_opts, det_abstraction_traced, rcycl_compact_traced, rcycl_opts, AbsOptions,
+    det_abstraction_compact_traced, det_abstraction_opts, rcycl_compact_traced, rcycl_opts,
+    AbsOptions,
 };
 use dcds_verify::bench::{examples, travel};
 use dcds_verify::core::par_map_obs;
@@ -76,10 +77,11 @@ fn det_abstraction_tracing_is_invisible_and_metrics_deterministic() {
             ..AbsOptions::default()
         };
         let obs = Obs::enabled(ObsConfig::default());
-        let traced = det_abstraction_traced(&dcds, 80, opts, &obs);
+        let traced = det_abstraction_compact_traced(&dcds, 80, opts, &obs);
         let plain = det_abstraction_opts(&dcds, 80, opts);
         assert_eq!(
-            traced.ts, plain.ts,
+            traced.ts.to_ts(),
+            plain.ts,
             "tracing changed the abstraction at {threads} threads"
         );
         assert_eq!(traced.outcome, plain.outcome);
@@ -93,6 +95,7 @@ fn det_abstraction_tracing_is_invisible_and_metrics_deterministic() {
     assert!(m.counter("abs.levels").unwrap() >= 1);
     assert!(m.gauge("abs.max_frontier").unwrap() >= 1);
     assert!(m.histogram("abs.frontier_states").unwrap().count >= 1);
+    assert!(m.gauge("store.bytes").unwrap() > 0);
 }
 
 #[test]
@@ -183,7 +186,7 @@ fn worker_spans_land_on_distinct_tids() {
 #[test]
 fn engine_chrome_trace_is_well_formed() {
     let obs = Obs::enabled(ObsConfig::default());
-    let _ = det_abstraction_traced(
+    let _ = det_abstraction_compact_traced(
         &travel::audit_system_small(),
         80,
         AbsOptions {
@@ -276,7 +279,7 @@ fn profiling_flags_leave_metrics_bit_identical() {
         };
         // Flags off.
         let obs = Obs::enabled(ObsConfig::default());
-        let _ = det_abstraction_traced(&dcds, 80, opts, &obs);
+        let _ = det_abstraction_compact_traced(&dcds, 80, opts, &obs);
         plain.push(obs.finish().unwrap().metrics);
 
         // Every new flag on: allocation attribution plus an event stream.
@@ -286,7 +289,7 @@ fn profiling_flags_leave_metrics_bit_identical() {
             events: Some(EventSink::new(Box::new(buf.clone()))),
             ..ObsConfig::default()
         });
-        let _ = det_abstraction_traced(&dcds, 80, opts, &obs);
+        let _ = det_abstraction_compact_traced(&dcds, 80, opts, &obs);
         flagged.push(obs.finish().unwrap().metrics);
         assert!(
             buf.contents().contains("\"type\":\"level\""),
@@ -316,7 +319,7 @@ fn engine_event_stream_is_typed_and_seq_ordered() {
         events: Some(EventSink::new(Box::new(buf.clone()))),
         ..ObsConfig::default()
     });
-    let _ = det_abstraction_traced(
+    let _ = det_abstraction_compact_traced(
         &travel::audit_system_small(),
         80,
         AbsOptions {
@@ -357,7 +360,7 @@ fn folded_profile_is_well_formed_and_root_covers_the_run() {
     });
     {
         let _run = span!(obs, "run", command = "test");
-        let _ = det_abstraction_traced(
+        let _ = det_abstraction_compact_traced(
             &travel::audit_system_small(),
             80,
             AbsOptions {
