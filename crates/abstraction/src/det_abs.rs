@@ -65,6 +65,11 @@
 //! handles symmetric instances in a single descent, so *every* class is
 //! keyed — the former permutation-budget bail-out and its
 //! backtracking-matcher fallback are gone.
+//!
+//! This keyed index is the only dedup path. The naive oracle — pairwise
+//! [`Facts::isomorphic`] against every admitted class — lives only in the
+//! tests (`reference_det` in the bench crate's `compact_differential`
+//! suite), which check that both define the same quotient.
 
 use dcds_core::det::{det_step_with_pre, DetState};
 use dcds_core::do_op::{
@@ -125,32 +130,12 @@ pub struct CompactDetAbstraction {
     pub counters: EngineCounters,
 }
 
-/// State-deduplication strategy for the abstraction BFS — exposed so the
-/// benchmark suite can ablate the design choice DESIGN.md makes (canonical
-/// keys give O(1) lookup at the cost of canonicalisation per colliding
-/// state; pairwise matching avoids canonicalisation but scans the class
-/// list). Both strategies are pre-filtered by the invariant signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DedupStrategy {
-    /// Canonical-form keys, computed lazily per signature bucket (the
-    /// default).
-    CanonicalKey,
-    /// Signature-bucketed scan with the backtracking isomorphism matcher.
-    PairwiseIso,
-}
-
 /// Options for [`det_abstraction_opts`].
 #[derive(Debug, Clone, Copy)]
 pub struct AbsOptions {
-    /// Deduplication strategy.
-    pub strategy: DedupStrategy,
     /// Worker threads for the parallel phases. `1` is the serial engine
     /// (same output, no worker pool) — the ablation baseline.
     pub threads: usize,
-    /// Canonicalise *every* successor instead of only on signature-bucket
-    /// hits — the pre-fast-path cost model, kept as an ablation baseline
-    /// for the benchmark harness. Output is identical either way.
-    pub eager_keys: bool,
     /// Frontier states stepped per batch inside one BFS level. Bounds the
     /// transient per-level scratch (pre-instances, stepped successors)
     /// without altering any output: all serial decisions still run in
@@ -166,9 +151,7 @@ pub const DEFAULT_LEVEL_CHUNK: usize = 4096;
 impl Default for AbsOptions {
     fn default() -> Self {
         AbsOptions {
-            strategy: DedupStrategy::CanonicalKey,
             threads: configured_threads(),
-            eager_keys: false,
             level_chunk: DEFAULT_LEVEL_CHUNK,
         }
     }
@@ -239,8 +222,7 @@ impl StoreSink {
         self.refs.len()
     }
 
-    /// The fact encoding of a resident class (lazy keys and the pairwise
-    /// matcher).
+    /// The fact encoding of a resident class (lazy keys).
     fn class_facts(&self, class: usize) -> Facts {
         self.store.facts(self.refs[class])
     }
@@ -284,14 +266,12 @@ pub(crate) fn publish_store_gauges(obs: &Obs, store: &StateStore) {
     obs.gauge_max("store.delta_states", stats.delta_states as i64);
 }
 
-/// One signature's isomorphism classes.
+/// One signature's isomorphism classes. A group exists only once a class
+/// with its signature has been admitted, so it is never empty.
 #[derive(Debug, Default)]
 struct SigGroup {
-    /// Every member class, in insertion order — the scan order of the
-    /// [`DedupStrategy::PairwiseIso`] ablation.
-    members: Vec<usize>,
     /// Admitted without a key attempt; lazily keyed (once, ever) when a
-    /// keyed probe first collides with this signature.
+    /// probe first collides with this signature.
     unkeyed: Vec<usize>,
 }
 
@@ -314,17 +294,14 @@ fn credit_canon(counters: &mut EngineCounters, stats: CanonStats) {
 /// index classes are pairwise non-isomorphic, and isomorphic fact sets
 /// share a signature, so at most one class can match and a hit is always
 /// inside the probe's own signature group. The pruned key search succeeds
-/// on every input, so under `CanonicalKey` each class is keyed at most
-/// once, ever, and no probe falls back to the backtracking matcher.
+/// on every input, so each class is keyed at most once, ever, and no probe
+/// needs a backtracking isomorphism matcher.
 ///
 /// Counter semantics: a probe whose signature group is empty counts one
-/// `sig_filter_skips` under both [`DedupStrategy`] variants. Under
-/// `CanonicalKey`, `canon_keys_computed` counts every key search exactly
-/// once (with `canon_orders_enumerated` / `canon_prune_cutoffs` summing
-/// the search effort); `iso_checks_performed` counts each
-/// backtracking-matcher call of the `PairwiseIso` ablation.
+/// `sig_filter_skips`; `canon_keys_computed` counts every key search
+/// exactly once (with `canon_orders_enumerated` / `canon_prune_cutoffs`
+/// summing the search effort).
 struct ClassIndex {
-    strategy: DedupStrategy,
     rigid: BTreeSet<Value>,
     /// Number of classes inserted so far.
     classes: usize,
@@ -335,9 +312,8 @@ struct ClassIndex {
 }
 
 impl ClassIndex {
-    fn new(strategy: DedupStrategy, rigid: BTreeSet<Value>) -> Self {
+    fn new(rigid: BTreeSet<Value>) -> Self {
         ClassIndex {
-            strategy,
             rigid,
             classes: 0,
             exact: HashMap::new(),
@@ -345,10 +321,10 @@ impl ClassIndex {
         }
     }
 
-    /// Is this signature's group non-empty? (Workers consult it to decide
-    /// whether to canonicalise eagerly.)
+    /// Has a class with this signature been admitted? (Workers consult it
+    /// to decide whether to canonicalise eagerly.)
     fn bucket_occupied(&self, sig: u64) -> bool {
-        self.groups.get(&sig).is_some_and(|g| !g.members.is_empty())
+        self.groups.contains_key(&sig)
     }
 
     /// Find the class of `facts`, if already present. `probe_key` carries a
@@ -365,27 +341,17 @@ impl ClassIndex {
         class_facts: impl Fn(usize) -> Facts,
     ) -> Option<usize> {
         let ClassIndex {
-            strategy,
             rigid,
             exact,
             groups,
             ..
         } = self;
-        let Some(group) = groups.get_mut(&sig).filter(|g| !g.members.is_empty()) else {
+        let Some(group) = groups.get_mut(&sig) else {
             // The signature proves the class is new.
             counters.sig_filter_skips += 1;
             return None;
         };
-        if *strategy == DedupStrategy::PairwiseIso {
-            for &ix in &group.members {
-                counters.iso_checks_performed += 1;
-                if class_facts(ix).isomorphic(facts, rigid) {
-                    return Some(ix);
-                }
-            }
-            return None;
-        }
-        // CanonicalKey strategy: materialise the probe's key on first need.
+        // Materialise the probe's key on first need.
         let probe_key = probe_key.get_or_insert_with(|| {
             let (k, stats) = facts.canonical_key_stats(rigid);
             credit_canon(counters, stats);
@@ -409,7 +375,6 @@ impl ClassIndex {
         let ix = self.classes;
         self.classes += 1;
         let group = self.groups.entry(sig).or_default();
-        group.members.push(ix);
         match probe_key {
             Some(k) => {
                 self.exact.insert(k, ix);
@@ -477,16 +442,11 @@ pub fn det_abstraction_compact_traced(
 
     let s0 = DetState::initial(dcds);
     let f0 = s0.to_facts(num_rels);
-    let mut index = ClassIndex::new(opts.strategy, rigid.clone());
+    let mut index = ClassIndex::new(rigid.clone());
     let sig0 = f0.signature(&rigid);
-    let key0 = if opts.strategy == DedupStrategy::CanonicalKey {
-        let (k, stats) = f0.canonical_key_stats(&rigid);
-        credit_canon(&mut counters, stats);
-        Some(k)
-    } else {
-        None
-    };
-    index.insert(sig0, key0);
+    let (key0, stats0) = f0.canonical_key_stats(&rigid);
+    credit_canon(&mut counters, stats0);
+    index.insert(sig0, Some(key0));
     let mut sink = StoreSink::new(&f0);
 
     // Frontier entries carry the transient `⟨I, M⟩` structure of a state
@@ -594,13 +554,9 @@ pub fn det_abstraction_compact_traced(
                     let facts = next.to_facts(num_rels);
                     let sig =
                         censuses[task.frontier_ix].child_signature(|| facts.iter(), facts.len());
-                    let key = if opts.strategy == DedupStrategy::CanonicalKey
-                        && (opts.eager_keys || index.bucket_occupied(sig))
-                    {
-                        Some(facts.canonical_key_stats(&rigid))
-                    } else {
-                        None
-                    };
+                    let key = index
+                        .bucket_occupied(sig)
+                        .then(|| facts.canonical_key_stats(&rigid));
                     (next, facts, sig, key)
                 });
                 StepResult {
@@ -746,27 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_strategies_agree() {
-        for dcds in [example_4_1(), example_4_2()] {
-            let with = |strategy| {
-                det_abstraction_opts(
-                    &dcds,
-                    200,
-                    AbsOptions {
-                        strategy,
-                        ..AbsOptions::default()
-                    },
-                )
-            };
-            let a = with(DedupStrategy::CanonicalKey);
-            let b = with(DedupStrategy::PairwiseIso);
-            assert_eq!(a.ts.num_states(), b.ts.num_states());
-            assert_eq!(a.ts.num_edges(), b.ts.num_edges());
-            assert_eq!(a.outcome, b.outcome);
-        }
-    }
-
-    #[test]
     fn example_4_1_saturates_finite() {
         // Figure 3b: the abstraction of the weakly acyclic Example 4.1 is
         // finite. Initial state + 5 commitment successors (some of which
@@ -835,7 +770,6 @@ mod tests {
                         &dcds,
                         60,
                         AbsOptions {
-                            strategy: DedupStrategy::CanonicalKey,
                             threads,
                             ..AbsOptions::default()
                         },
@@ -849,26 +783,6 @@ mod tests {
                 assert_eq!(runs[0].pool.len(), other.pool.len());
                 assert_eq!(runs[0].counters, other.counters);
             }
-        }
-    }
-
-    #[test]
-    fn eager_keys_ablation_gives_identical_output() {
-        // The fast path only skips work, never changes the quotient.
-        for dcds in [example_4_1(), example_4_2(), example_4_3()] {
-            let lazy = det_abstraction(&dcds, 60);
-            let eager = det_abstraction_opts(
-                &dcds,
-                60,
-                AbsOptions {
-                    eager_keys: true,
-                    ..AbsOptions::default()
-                },
-            );
-            assert_eq!(lazy.ts, eager.ts);
-            assert_eq!(lazy.outcome, eager.outcome);
-            // Eager canonicalises at least as often.
-            assert!(eager.counters.canon_keys_computed >= lazy.counters.canon_keys_computed);
         }
     }
 
@@ -940,42 +854,33 @@ mod tests {
     }
 
     #[test]
-    fn empty_group_probe_counters_uniform_across_strategies() {
-        // An empty-signature-group probe must credit the signature filter
-        // identically under both strategies — one `sig_filter_skips` —
-        // without computing any canonical key.
+    fn empty_group_probe_computes_no_key() {
+        // An empty-signature-group probe credits the signature filter —
+        // one `sig_filter_skips` — without computing any canonical key.
         let rigid = BTreeSet::new();
-        let mut deltas = Vec::new();
-        for strategy in [DedupStrategy::CanonicalKey, DedupStrategy::PairwiseIso] {
-            let mut index = ClassIndex::new(strategy, rigid.clone());
-            let mut classes: Vec<Facts> = Vec::new();
-            let mut counters = EngineCounters::default();
-            for class in [unary_facts(0, &[0]), unary_facts(0, &[1, 2])] {
-                let sig = class.signature(&rigid);
-                let mut key = None;
-                assert_eq!(
-                    probe(&mut index, &classes, &class, &mut key, &mut counters),
-                    None
-                );
-                index.insert(sig, key);
-                classes.push(class);
-            }
-            let unseen = unary_facts(1, &[3]);
-            let before = counters;
+        let mut index = ClassIndex::new(rigid.clone());
+        let mut classes: Vec<Facts> = Vec::new();
+        let mut counters = EngineCounters::default();
+        for class in [unary_facts(0, &[0]), unary_facts(0, &[1, 2])] {
+            let sig = class.signature(&rigid);
             let mut key = None;
             assert_eq!(
-                probe(&mut index, &classes, &unseen, &mut key, &mut counters),
+                probe(&mut index, &classes, &class, &mut key, &mut counters),
                 None
             );
-            assert!(key.is_none(), "empty-group probe must not compute a key");
-            deltas.push((
-                counters.sig_filter_skips - before.sig_filter_skips,
-                counters.iso_checks_performed - before.iso_checks_performed,
-                counters.canon_keys_computed - before.canon_keys_computed,
-            ));
+            index.insert(sig, key);
+            classes.push(class);
         }
-        assert_eq!(deltas[0], (1, 0, 0));
-        assert_eq!(deltas[0], deltas[1], "strategies must account identically");
+        let unseen = unary_facts(1, &[3]);
+        let before = counters;
+        let mut key = None;
+        assert_eq!(
+            probe(&mut index, &classes, &unseen, &mut key, &mut counters),
+            None
+        );
+        assert!(key.is_none(), "empty-group probe must not compute a key");
+        assert_eq!(counters.sig_filter_skips - before.sig_filter_skips, 1);
+        assert_eq!(counters.canon_keys_computed, before.canon_keys_computed);
     }
 
     #[test]
@@ -983,14 +888,14 @@ mod tests {
         // The collision-heavy regression: perfect matchings of 12 tags all
         // share one signature, so the old per-group linear scan made the
         // k-th admission pay O(k) key comparisons. The exact-match map
-        // must resolve every probe without a single backtracking call.
+        // must resolve every probe with one key per probe.
         let tags: Vec<usize> = (0..12).collect();
         let rigid: BTreeSet<Value> = tags.iter().map(|&t| Value::from_index(t)).collect();
         let mut matchings = Vec::new();
         perfect_matchings(&tags, 1500, &mut matchings);
         assert_eq!(matchings.len(), 1500);
 
-        let mut index = ClassIndex::new(DedupStrategy::CanonicalKey, rigid.clone());
+        let mut index = ClassIndex::new(rigid.clone());
         let mut classes: Vec<Facts> = Vec::new();
         let mut counters = EngineCounters::default();
         let sig0 = matching_facts(&matchings[0], 100).signature(&rigid);
@@ -1016,10 +921,6 @@ mod tests {
                 Some(expect_ix)
             );
         }
-        assert_eq!(
-            counters.iso_checks_performed, 0,
-            "keyed classes must never reach the backtracking matcher"
-        );
         // One key per admission probe (the first class is keyed lazily
         // when the second probe collides, the rest at their own probe) and
         // one per re-probe — each class's resident key computed once, ever.
@@ -1036,9 +937,9 @@ mod tests {
         // case that used to exceed the permutation budget and fall back to
         // the backtracking matcher. The branch-and-bound search collapses
         // the whole 9! orbit into a single descent, so the probe resolves
-        // through the exact-match map with zero isomorphism checks.
+        // through the exact-match map.
         let rigid = BTreeSet::new();
-        let mut index = ClassIndex::new(DedupStrategy::CanonicalKey, rigid.clone());
+        let mut index = ClassIndex::new(rigid.clone());
         let mut counters = EngineCounters::default();
         let a = unary_facts(0, &(100..109).collect::<Vec<_>>());
         let sig = a.signature(&rigid);
@@ -1057,7 +958,6 @@ mod tests {
         assert!(key.is_some(), "symmetric class must key successfully");
         // Probe key + lazily keying the resident class.
         assert_eq!(counters.canon_keys_computed, 2);
-        assert_eq!(counters.iso_checks_performed, 0);
         // One descent each; transposition pruning cuts the other 9!-1
         // orders with 9*8/2 = 36 cutoffs per key search.
         assert_eq!(counters.canon_orders_enumerated, 2);
@@ -1080,37 +980,34 @@ mod tests {
 
     #[test]
     fn decoded_states_match_store_at_every_thread_count() {
-        // Under either dedup strategy the run is the same at every thread
-        // count, and the wrapper's decoded `⟨I, M⟩` states re-encode to
-        // exactly the facts the store holds for their class.
+        // The run is the same at every thread count, and the wrapper's
+        // decoded `⟨I, M⟩` states re-encode to exactly the facts the store
+        // holds for their class.
         for dcds in [example_4_1(), example_4_3()] {
             let num_rels = dcds.data.schema.len();
-            for strategy in [DedupStrategy::CanonicalKey, DedupStrategy::PairwiseIso] {
-                let run = |threads| {
-                    let opts = AbsOptions {
-                        strategy,
-                        threads,
-                        ..AbsOptions::default()
-                    };
-                    (
-                        det_abstraction_opts(&dcds, 60, opts),
-                        det_abstraction_compact_opts(&dcds, 60, opts),
-                    )
+            let run = |threads| {
+                let opts = AbsOptions {
+                    threads,
+                    ..AbsOptions::default()
                 };
-                let (base, _) = run(1);
-                for threads in [1usize, 2, 4, 8] {
-                    let (abs, compact) = run(threads);
-                    assert_eq!(abs.ts, base.ts, "{strategy:?} t={threads}");
-                    assert_eq!(abs.states, base.states);
-                    assert_eq!(abs.outcome, base.outcome);
-                    assert_eq!(abs.pool.len(), base.pool.len());
-                    assert_eq!(abs.counters, base.counters);
-                    assert_eq!(compact.counters, base.counters);
-                    for (s, state) in compact.ts.state_ids().zip(&abs.states) {
-                        let stored = compact.ts.store().facts(compact.ts.state_ref(s));
-                        assert_eq!(state.to_facts(num_rels), stored);
-                        assert_eq!(&state.instance, abs.ts.db(s));
-                    }
+                (
+                    det_abstraction_opts(&dcds, 60, opts),
+                    det_abstraction_compact_opts(&dcds, 60, opts),
+                )
+            };
+            let (base, _) = run(1);
+            for threads in [1usize, 2, 4, 8] {
+                let (abs, compact) = run(threads);
+                assert_eq!(abs.ts, base.ts, "t={threads}");
+                assert_eq!(abs.states, base.states);
+                assert_eq!(abs.outcome, base.outcome);
+                assert_eq!(abs.pool.len(), base.pool.len());
+                assert_eq!(abs.counters, base.counters);
+                assert_eq!(compact.counters, base.counters);
+                for (s, state) in compact.ts.state_ids().zip(&abs.states) {
+                    let stored = compact.ts.store().facts(compact.ts.state_ref(s));
+                    assert_eq!(state.to_facts(num_rels), stored);
+                    assert_eq!(&state.instance, abs.ts.db(s));
                 }
             }
         }

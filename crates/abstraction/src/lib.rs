@@ -10,7 +10,8 @@
 //!   run-bounded systems the construction saturates into a finite system
 //!   history-preserving bisimilar to the concrete one (Figures 2b, 3b); for
 //!   run-unbounded systems it provably cannot saturate (Figure 4b) and
-//!   reports truncation. One chunked, level-synchronised BFS builds it and
+//!   reports truncation. One chunked, level-synchronised BFS builds it,
+//!   deduplicates through one signature-filtered canonical-key index, and
 //!   keeps admitted states only in the compact
 //!   [`dcds_reldata::StateStore`] ([`det_abstraction_compact_opts`]);
 //!   [`det_abstraction_opts`] materialises the result as an owned `Ts`
@@ -36,10 +37,10 @@ pub mod rcycl;
 pub use bounds::{observe_run_bound, observe_state_bound, BoundObservation};
 pub use det_abs::{
     det_abstraction, det_abstraction_compact_opts, det_abstraction_compact_traced,
-    det_abstraction_opts, AbsOptions, AbsOutcome, CompactDetAbstraction, DedupStrategy,
-    DetAbstraction, DEFAULT_LEVEL_CHUNK,
+    det_abstraction_opts, AbsOptions, AbsOutcome, CompactDetAbstraction, DetAbstraction,
+    DEFAULT_LEVEL_CHUNK,
 };
-pub use pruning::{commitment_coverage_holds, commitment_coverage_holds_traced};
+pub use pruning::commitment_coverage_holds;
 pub use rcycl::{
     rcycl, rcycl_compact_opts, rcycl_compact_traced, rcycl_opts, CompactRcycl, RcyclResult,
 };

@@ -10,7 +10,6 @@
 
 use dcds_core::nondet::nondet_successors_by_commitment;
 use dcds_core::{Dcds, Ts};
-use dcds_obs::{span, Obs};
 use dcds_reldata::Facts;
 use std::collections::BTreeSet;
 
@@ -21,29 +20,12 @@ use std::collections::BTreeSet;
 /// (the commitment speaks about identity w.r.t. the current state's
 /// values).
 pub fn commitment_coverage_holds(dcds: &Dcds, ts: &Ts) -> bool {
-    commitment_coverage_holds_traced(dcds, ts, &Obs::disabled())
-}
-
-/// [`commitment_coverage_holds`] with an observability handle: one overall
-/// span, per-state heartbeats, and coverage-check counters.
-pub fn commitment_coverage_holds_traced(dcds: &Dcds, ts: &Ts, obs: &Obs) -> bool {
-    let mut run = span!(obs, "commitment_coverage", states = ts.num_states());
     let rigid = dcds.rigid_constants();
     let mut pool = dcds.working_pool();
-    let mut reps_checked = 0u64;
     for s in ts.state_ids() {
-        obs.heartbeat(|| {
-            format!(
-                "coverage: state {}/{}, {} representatives checked",
-                s.index(),
-                ts.num_states(),
-                reps_checked
-            )
-        });
         let inst = ts.db(s);
         let reps = nondet_successors_by_commitment(dcds, inst, &mut pool);
         for (_, _, _, rep) in &reps {
-            reps_checked += 1;
             // Fix rigid constants and the current state's adom pointwise.
             let mut fixed: BTreeSet<_> = rigid.clone();
             fixed.extend(inst.active_domain());
@@ -53,14 +35,10 @@ pub fn commitment_coverage_holds_traced(dcds: &Dcds, ts: &Ts, obs: &Obs) -> bool
                 .iter()
                 .any(|&t| Facts::from_instance(ts.db(t)).isomorphic(&rep_facts, &fixed));
             if !covered {
-                obs.counter_add("coverage.reps_checked", reps_checked);
-                run.set("covered", false);
                 return false;
             }
         }
     }
-    obs.counter_add("coverage.reps_checked", reps_checked);
-    run.set("covered", true);
     true
 }
 

@@ -2,14 +2,11 @@
 //! µ-calculus model-checking engine (no criterion).
 //!
 //! Times `det_abstraction` and RCYCL on the synthetic workload families
-//! along two axes:
-//!
-//! * **thread scaling** — the phase-split parallel BFS at 1, 2, 4, 8
-//!   workers (wall-clock; speedups only materialise on multicore
-//!   hardware, so the report records `hardware_threads` next to them);
-//! * **canonical-key fast path** — the signature-bucketed lazy index
-//!   against the eager ablation that canonicalises every successor (the
-//!   pre-fast-path cost model), at a fixed thread count.
+//! for **thread scaling**: the phase-split parallel BFS at 1, 2, 4, 8
+//! workers (wall-clock; speedups only materialise on multicore hardware,
+//! so the report records `hardware_threads` next to them), with the share
+//! of dedup probes the signature fast path settled without a canonical
+//! key.
 //!
 //! Then times the staged model checker (`dcds_mucalc::engine`) against the
 //! naive Kleene evaluator (`dcds_mucalc::mc`, kept as the differential
@@ -64,7 +61,7 @@
 
 use dcds_abstraction::{
     det_abstraction_compact_opts, det_abstraction_compact_traced, det_abstraction_opts,
-    rcycl_compact_opts, rcycl_compact_traced, rcycl_opts, AbsOptions, DedupStrategy,
+    rcycl_compact_opts, rcycl_compact_traced, rcycl_opts, AbsOptions,
 };
 use dcds_bench::report::{self, Kind, Thresholds};
 use dcds_bench::{examples, queries, synthetic, travel};
@@ -108,10 +105,6 @@ struct Workload {
     runs: Vec<ThreadRun>,
     /// Fraction of dedup probes resolved by the signature fast path alone.
     sig_hit_rate: Option<f64>,
-    /// eager-ablation seconds at 1 thread (det workloads only).
-    eager_secs: Option<f64>,
-    /// lazy seconds at 1 thread (denominator partner of `eager_secs`).
-    lazy_secs: Option<f64>,
     /// Engine counters (thread-independent; taken from the last run).
     counters: EngineCounters,
 }
@@ -126,7 +119,6 @@ fn bench_det(name: String, dcds: &Dcds, max_states: usize, reps: usize) -> Workl
                 dcds,
                 max_states,
                 AbsOptions {
-                    strategy: DedupStrategy::CanonicalKey,
                     threads,
                     ..AbsOptions::default()
                 },
@@ -141,25 +133,11 @@ fn bench_det(name: String, dcds: &Dcds, max_states: usize, reps: usize) -> Workl
             edges: abs.ts.num_edges(),
         });
     }
-    let (eager_secs, _) = time_best(reps, || {
-        det_abstraction_opts(
-            dcds,
-            max_states,
-            AbsOptions {
-                strategy: DedupStrategy::CanonicalKey,
-                threads: 1,
-                eager_keys: true,
-                ..AbsOptions::default()
-            },
-        )
-    });
     Workload {
         name,
         engine: "det_abstraction",
-        lazy_secs: Some(runs[0].secs),
         runs,
         sig_hit_rate,
-        eager_secs: Some(eager_secs),
         counters,
     }
 }
@@ -182,8 +160,6 @@ fn bench_rcycl(name: String, dcds: &Dcds, max_states: usize, reps: usize) -> Wor
         engine: "rcycl",
         runs,
         sig_hit_rate: None,
-        eager_secs: None,
-        lazy_secs: None,
         counters,
     }
 }
@@ -459,8 +435,6 @@ struct ScaleRun {
     canon_prune_cutoffs: u64,
     /// Dedup probe work: probes answered by an empty signature group.
     sig_filter_skips: u64,
-    /// Dedup probe work: backtracking isomorphism checks actually run.
-    iso_checks_performed: u64,
 }
 
 impl ScaleRun {
@@ -514,7 +488,6 @@ fn scale_run_det(dcds: &Dcds, budget: usize) -> ScaleRun {
         canon_orders_enumerated: abs.counters.canon_orders_enumerated,
         canon_prune_cutoffs: abs.counters.canon_prune_cutoffs,
         sig_filter_skips: abs.counters.sig_filter_skips,
-        iso_checks_performed: abs.counters.iso_checks_performed,
     }
 }
 
@@ -535,7 +508,6 @@ fn scale_run_rcycl(dcds: &Dcds, budget: usize) -> ScaleRun {
         canon_orders_enumerated: res.counters.canon_orders_enumerated,
         canon_prune_cutoffs: res.counters.canon_prune_cutoffs,
         sig_filter_skips: res.counters.sig_filter_skips,
-        iso_checks_performed: res.counters.iso_checks_performed,
     }
 }
 
@@ -928,12 +900,6 @@ fn main() {
                 rate * 100.0
             );
         }
-        if let (Some(eager), Some(lazy)) = (w.eager_secs, w.lazy_secs) {
-            println!(
-                "  canonical-key fast path: lazy {lazy:.4}s vs eager {eager:.4}s ({:.2}x) at 1 thread",
-                eager / lazy
-            );
-        }
     }
 
     // One instrumented run so the artifact carries a full metrics snapshot
@@ -986,19 +952,6 @@ fn main() {
             w.sig_hit_rate
                 .map(json_f64)
                 .unwrap_or_else(|| "null".into())
-        );
-        let _ = writeln!(
-            json,
-            "      \"eager_keys_secs_1_thread\": {},",
-            w.eager_secs.map(json_f64).unwrap_or_else(|| "null".into())
-        );
-        let _ = writeln!(
-            json,
-            "      \"fast_path_speedup_1_thread\": {},",
-            match (w.eager_secs, w.lazy_secs) {
-                (Some(e), Some(l)) => json_f64(e / l),
-                _ => "null".into(),
-            }
         );
         let _ = writeln!(json, "      \"counters\": {}", w.counters.to_json());
         let _ = writeln!(
@@ -1253,13 +1206,12 @@ fn main() {
         if let Some(r) = w.runs.last() {
             println!(
                 "  canon at {} states: {} keys ({} orders, {} cutoffs), \
-                 {} sig-bucket skips, {} iso checks",
+                 {} sig-bucket skips",
                 r.states,
                 r.canon_keys_computed,
                 r.canon_orders_enumerated,
                 r.canon_prune_cutoffs,
-                r.sig_filter_skips,
-                r.iso_checks_performed
+                r.sig_filter_skips
             );
         }
         println!(
@@ -1312,8 +1264,7 @@ fn main() {
                  \"states_per_sec\": {}, \"store_bytes\": {}, \"bytes_per_state\": {}, \
                  \"delta_share\": {}, \"facts_interned\": {}, \"complete\": {}, \
                  \"canon_keys_computed\": {}, \"canon_orders_enumerated\": {}, \
-                 \"canon_prune_cutoffs\": {}, \"sig_filter_skips\": {}, \
-                 \"iso_checks_performed\": {}}}{}",
+                 \"canon_prune_cutoffs\": {}, \"sig_filter_skips\": {}}}{}",
                 r.budget,
                 json_f64(r.secs),
                 r.states,
@@ -1328,7 +1279,6 @@ fn main() {
                 r.canon_orders_enumerated,
                 r.canon_prune_cutoffs,
                 r.sig_filter_skips,
-                r.iso_checks_performed,
                 if ri + 1 < w.runs.len() { "," } else { "" }
             );
         }

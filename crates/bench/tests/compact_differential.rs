@@ -14,6 +14,7 @@
 
 use dcds_abstraction::{det_abstraction_opts, rcycl_compact_opts, AbsOptions, AbsOutcome};
 use dcds_bench::synthetic::{self, RandomParams};
+use dcds_bench::{examples, travel};
 use dcds_core::det::det_successors_by_commitment;
 use dcds_core::nondet::{evals_over, nondet_step_with_pre};
 use dcds_core::{
@@ -235,6 +236,20 @@ fn det_store_sink_matches_owned_on_collision_heavy_family() {
 }
 
 #[test]
+fn det_engine_matches_reference_on_paper_examples() {
+    // Examples 4.1 and 4.2 saturate; Example 4.3 is run-unbounded and is
+    // cut at its budget.
+    assert_det_matches_reference(&examples::example_4_1(), 200);
+    assert_det_matches_reference(&examples::example_4_2(), 200);
+    assert_det_matches_reference(&examples::example_4_3(ServiceKind::Deterministic), 60);
+}
+
+#[test]
+fn det_engine_matches_reference_on_travel_audit() {
+    assert_det_matches_reference(&travel::audit_system_small(), 80);
+}
+
+#[test]
 fn det_compact_level_chunking_is_output_invariant() {
     // The BFS steps wide levels in `level_chunk`-sized batches to bound
     // transient allocation. Chunking must not change anything observable:
@@ -251,7 +266,6 @@ fn det_compact_level_chunking_is_output_invariant() {
             let opts = |level_chunk| AbsOptions {
                 threads,
                 level_chunk,
-                ..AbsOptions::default()
             };
             let baseline = det_abstraction_opts(&dcds, 400, opts(4096));
             for level_chunk in [1, 3, 64, 4096] {

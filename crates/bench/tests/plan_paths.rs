@@ -17,9 +17,9 @@ use dcds_core::{
 };
 use dcds_folang::Var;
 
-/// All per-state query entry points agree across the three paths (legacy,
-/// plan over scans, plan over index) on every reachable state of the
-/// travel-request pruning.
+/// All per-state query entry points agree with and without a per-state
+/// index (plan over scans, plan over index) on every reachable state of
+/// the travel-request pruning.
 #[test]
 fn do_and_legal_agree_on_all_rcycl_states() {
     let dcds = travel::request_system_small();
@@ -47,19 +47,23 @@ fn do_and_legal_agree_on_all_rcycl_states() {
     }
 }
 
-/// A σ whose domain is not exactly the action's parameter list must take
-/// the legacy path — and still agree with `do_action` (which is the
-/// documented semantics for arbitrary public-API σ).
+/// `DO` ignores σ keys that are not parameters of the action: a σ padded
+/// with a spurious key gives exactly the pre-instance of the legal σ, with
+/// and without a per-state index. (The name is historical: such a σ once
+/// took a separate evaluator; now every σ runs the compiled plan.)
 #[test]
 fn non_parameter_sigma_takes_identical_fallback() {
     let dcds = travel::request_system_small();
     let inst = &dcds.data.initial;
     let idx = state_index(&dcds, inst);
     let spurious = dcds.data.pool.get("readyForRequest").unwrap();
-    for (action, sigma) in legal_assignments(&dcds, inst) {
+    let legal = legal_assignments(&dcds, inst);
+    assert!(!legal.is_empty());
+    for (action, sigma) in legal {
         let mut padded = sigma.clone();
         padded.insert(Var::new("__not_a_param"), spurious);
-        let base = do_action(&dcds, inst, action, &padded);
+        let base = do_action(&dcds, inst, action, &sigma);
+        assert_eq!(base, do_action(&dcds, inst, action, &padded));
         assert_eq!(
             base,
             do_action_indexed(&dcds, inst, action, &padded, Some(&idx))

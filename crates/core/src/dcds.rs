@@ -5,6 +5,7 @@ use crate::data_layer::DataLayer;
 use crate::do_op::PlanCache;
 use crate::process::ProcessLayer;
 use crate::term::ETerm;
+use dcds_folang::QTerm;
 use dcds_reldata::{ConstantPool, Value};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -105,7 +106,9 @@ impl Dcds {
     /// 3. for each effect `q⁺ ∧ Q⁻ ⇝ E`:
     ///    * `q⁺` is a valid UCQ over `R` (its terms may also mention the
     ///      action parameters, which we treat as free variables of `q⁺`'s
-    ///      disjuncts for this check),
+    ///      disjuncts for this check), range-restricted modulo the
+    ///      parameters: every head or equality variable occurs in an atom
+    ///      or is a parameter — so `q⁺` has a compiled plan,
     ///    * `free(Q⁻) ⊆ free(q⁺) ∪ params`,
     ///    * every head term uses only constants, parameters, free variables
     ///      of `q⁺`, and service calls over those (constants mentioned in
@@ -143,8 +146,8 @@ impl Dcds {
             for (eix, effect) in action.effects.iter().enumerate() {
                 // q+ validity. Action parameters may occur in q+'s atoms; the
                 // UCQ validator requires head vars to occur in atoms, so we
-                // check disjunct arities directly and head-variable coverage
-                // modulo parameters.
+                // check disjunct arities directly and head- and
+                // equality-variable coverage modulo parameters.
                 for cq in &effect.qplus.disjuncts {
                     for (rel, terms) in &cq.atoms {
                         let expected = self.data.schema.arity(*rel);
@@ -172,6 +175,22 @@ impl Dcds {
                                     v.name()
                                 ),
                             });
+                        }
+                    }
+                    for (t1, t2) in &cq.equalities {
+                        for t in [t1, t2] {
+                            if let QTerm::Var(v) = t {
+                                if !avars.contains(v) && !params.contains(v) {
+                                    return Err(ValidationError::Effect {
+                                        action: action.name.clone(),
+                                        effect: eix,
+                                        detail: format!(
+                                            "equality variable {} of q+ occurs in no atom and is not a parameter",
+                                            v.name()
+                                        ),
+                                    });
+                                }
+                            }
                         }
                     }
                 }
@@ -270,7 +289,7 @@ impl Dcds {
             rigid.extend(c.query.constants());
             for (t1, t2) in &c.equalities {
                 for t in [t1, t2] {
-                    if let dcds_folang::QTerm::Const(v) = t {
+                    if let QTerm::Const(v) = t {
                         rigid.insert(*v);
                     }
                 }
@@ -288,14 +307,14 @@ impl Dcds {
                 for cq in &effect.qplus.disjuncts {
                     for (_, terms) in &cq.atoms {
                         for t in terms {
-                            if let dcds_folang::QTerm::Const(v) = t {
+                            if let QTerm::Const(v) = t {
                                 rigid.insert(*v);
                             }
                         }
                     }
                     for (t1, t2) in &cq.equalities {
                         for t in [t1, t2] {
-                            if let dcds_folang::QTerm::Const(v) = t {
+                            if let QTerm::Const(v) = t {
                                 rigid.insert(*v);
                             }
                         }
@@ -319,5 +338,50 @@ impl Dcds {
     /// True when every service is nondeterministic (Section 5 applies).
     pub fn is_nondeterministic(&self) -> bool {
         self.process.services.all_nondeterministic()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::builder::DcdsBuilder;
+    use crate::dcds::ValidationError;
+    use dcds_folang::{QTerm, Var};
+
+    #[test]
+    fn qplus_equality_variable_outside_atoms_is_rejected() {
+        // A hand-built `q⁺ = R(X) ∧ Y = a`: `Y` occurs in no atom and is no
+        // parameter, so no row could ever bind it and the effect would
+        // silently never fire.
+        let dcds = DcdsBuilder::new()
+            .relation("R", 1)
+            .relation("Q", 1)
+            .init_fact("R", &["a"])
+            .action("alpha", &[], |a| {
+                a.effect("R(X)", "Q(X)");
+            })
+            .rule("true", "alpha")
+            .build()
+            .unwrap();
+        let a = dcds.data.pool.get("a").unwrap();
+        let mut process = dcds.process.clone();
+        process.actions[0].effects[0].qplus.disjuncts[0]
+            .equalities
+            .push((QTerm::Var(Var::new("Y")), QTerm::Const(a)));
+        let broken = crate::Dcds::from_parts(dcds.data.clone(), process);
+        match broken.validate() {
+            Err(ValidationError::Effect { effect, detail, .. }) => {
+                assert_eq!(effect, 0);
+                assert!(detail.contains("equality variable Y"), "{detail}");
+            }
+            other => panic!("expected an effect error, got {other:?}"),
+        }
+        // The same equality over an atom variable is range-restricted.
+        let mut process = dcds.process.clone();
+        process.actions[0].effects[0].qplus.disjuncts[0]
+            .equalities
+            .push((QTerm::Var(Var::new("X")), QTerm::Const(a)));
+        assert!(crate::Dcds::from_parts(dcds.data.clone(), process)
+            .validate()
+            .is_ok());
     }
 }

@@ -5,14 +5,17 @@
 //! `Eσθ`. The result is a *pre-instance*: a set of facts whose terms are
 //! values or ground service calls awaiting resolution (deterministic
 //! resolution in [`crate::det`], nondeterministic in [`crate::nondet`]).
+//!
+//! Every `q⁺` is answered by its compiled plan from the system's
+//! [`PlanCache`]; validation guarantees one exists. The join-based
+//! `dcds_folang::eval_ucq` is not on this path: it survives only as the
+//! oracle and baseline the plan differential tests and benchmarks compare
+//! against.
 
 use crate::action::ActionId;
 use crate::dcds::Dcds;
 use crate::term::{GTerm, ServiceCall};
-use dcds_folang::ast::QTerm;
-use dcds_folang::{
-    eval_ucq, holds, Assignment, CompiledPlan, ConjunctiveQuery, EvalCtx, PlanStats, Ucq, Var,
-};
+use dcds_folang::{holds, Assignment, CompiledPlan, EvalCtx, PlanStats, Ucq, Var};
 use dcds_reldata::{AccessPath, Instance, InstanceIndex, RelId, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
@@ -86,9 +89,10 @@ impl PreInstance {
 /// Compiled query plans for a DCDS: one [`CompiledPlan`] per effect `q⁺`
 /// (with the action parameters as pre-bound inputs) and one per rule
 /// condition that is recognisably a UCQ. Built once per system — see
-/// [`Dcds::plans`] — and shared across the whole exploration; queries
-/// outside the compilable fragment keep `None` and evaluation falls back to
-/// the legacy evaluators, so behaviour is bit-identical either way.
+/// [`Dcds::plans`] — and shared across the whole exploration. Every `q⁺`
+/// of a validated system compiles; a rule condition outside the compilable
+/// fragment keeps `None` and is answered by the reference active-domain
+/// evaluator, with bit-identical results.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     /// `effect_plans[action][effect]`.
@@ -196,47 +200,11 @@ pub fn publish_query_stats_delta(
     }
 }
 
-/// Substitute an assignment into a UCQ: parameters bound by σ become
-/// constants (and are dropped from the head, their values being supplied by
-/// σ at grounding time).
-fn substitute_ucq(ucq: &Ucq, sigma: &Assignment) -> Ucq {
-    let disjuncts = ucq
-        .disjuncts
-        .iter()
-        .map(|cq| ConjunctiveQuery {
-            head: cq
-                .head
-                .iter()
-                .filter(|v| !sigma.contains_key(*v))
-                .cloned()
-                .collect(),
-            atoms: cq
-                .atoms
-                .iter()
-                .map(|(rel, terms)| (*rel, terms.iter().map(|t| subst_qterm(t, sigma)).collect()))
-                .collect(),
-            equalities: cq
-                .equalities
-                .iter()
-                .map(|(t1, t2)| (subst_qterm(t1, sigma), subst_qterm(t2, sigma)))
-                .collect(),
-        })
-        .collect();
-    Ucq { disjuncts }
-}
-
-fn subst_qterm(t: &QTerm, sigma: &Assignment) -> QTerm {
-    match t {
-        QTerm::Var(v) => sigma
-            .get(v)
-            .map(|&c| QTerm::Const(c))
-            .unwrap_or_else(|| t.clone()),
-        QTerm::Const(_) => t.clone(),
-    }
-}
-
 /// `DO(I, ασ)`: apply the action under the parameter assignment, producing
 /// the pre-instance of grounded effect heads.
+///
+/// σ must bind every parameter of the action; keys that are not parameters
+/// are ignored. Panics if σ misses a parameter.
 pub fn do_action(
     dcds: &Dcds,
     inst: &Instance,
@@ -247,10 +215,13 @@ pub fn do_action(
 }
 
 /// [`do_action`] evaluating `q⁺` through the cached compiled plans, probing
-/// `index` when one is supplied (see [`state_index`]). Effects whose query
-/// did not compile — or a σ that is not exactly the action's parameter
-/// assignment — take the legacy substitute-and-join path; the result is
-/// bit-identical in every case.
+/// `index` when one is supplied (see [`state_index`]).
+///
+/// Validation ([`Dcds::validate`]) makes every `q⁺` range-restricted modulo
+/// the action parameters, so every effect of a validated system has a
+/// plan. Panics on an effect without one — possible only for a system
+/// assembled unvalidated with [`Dcds::from_parts`] — and, like
+/// [`do_action`], on a σ that misses a parameter.
 pub fn do_action_indexed(
     dcds: &Dcds,
     inst: &Instance,
@@ -261,40 +232,42 @@ pub fn do_action_indexed(
     let cache = dcds.plans();
     let action_id = action;
     let action = dcds.process.action(action);
-    // The plans were compiled with exactly `params(α)` as input slots; any
-    // other σ domain (possible through this public API) changes which
-    // variables substitution eliminates, so it must use the legacy path.
-    let sigma_is_params =
-        sigma.len() == action.params.len() && action.params.iter().all(|p| sigma.contains_key(p));
+    // σ restricted to the parameters: the input slots the plans were
+    // compiled with.
+    let sigma: Assignment = action
+        .params
+        .iter()
+        .map(|p| {
+            let v = sigma.get(p).unwrap_or_else(|| {
+                panic!(
+                    "σ binds no value to parameter {} of action {}",
+                    p.name(),
+                    action.name
+                )
+            });
+            (p.clone(), *v)
+        })
+        .collect();
     let mut out = PreInstance::new();
     for (eix, effect) in action.effects.iter().enumerate() {
-        let plan = if sigma_is_params {
-            cache.effect_plan(action_id, eix)
-        } else {
-            None
+        let plan = cache.effect_plan(action_id, eix).unwrap_or_else(|| {
+            panic!(
+                "effect #{eix} of action {} has no compiled q+ plan (unvalidated system)",
+                action.name
+            )
+        });
+        let mut ctx = match index {
+            Some(ix) => EvalCtx::with_index(inst, ix),
+            None => EvalCtx::scan(inst),
         };
-        let thetas: BTreeSet<Assignment> = match plan {
-            Some(plan) => {
-                let mut ctx = match index {
-                    Some(ix) => EvalCtx::with_index(inst, ix),
-                    None => EvalCtx::scan(inst),
-                };
-                ctx = ctx.stats(&cache.stats);
-                plan.eval(&ctx, sigma)
-            }
-            None => {
-                cache.stats.fallback_evals.fetch_add(1, Ordering::Relaxed);
-                eval_ucq(&substitute_ucq(&effect.qplus, sigma), inst)
-            }
-        };
-        let qminus = effect.qminus.apply(sigma);
+        ctx = ctx.stats(&cache.stats);
+        let thetas = plan.eval(&ctx, &sigma);
+        let qminus = effect.qminus.apply(&sigma);
         for theta in thetas {
-            // θ covers the (remaining) head variables of q+; the filter Q-
-            // may mention them and the parameters (already substituted).
-            let mut full: Assignment = theta.clone();
-            for (p, v) in sigma {
-                full.insert(p.clone(), *v);
-            }
+            // θ covers the non-parameter head variables of q+; the filter
+            // Q- may mention them and the parameters (already substituted).
+            let mut full: Assignment = theta;
+            full.extend(sigma.iter().map(|(p, v)| (p.clone(), *v)));
             let pass = if qminus == dcds_folang::Formula::True {
                 true
             } else {

@@ -11,19 +11,19 @@
 //! [`Limits`]. The default [`CommitmentOracle`] picks one representative
 //! evaluation per equality commitment — the same representatives the
 //! abstraction keeps, so prefixes explored with it are isomorphic-faithful.
+//!
+//! Both semantics share one level-synchronised, phase-split BFS, generic
+//! over the state type: `⟨I, M⟩` pairs ([`DetState`]) for deterministic
+//! services, bare instances for nondeterministic ones.
 
 use crate::commitment::{enumerate_commitments, CommitTarget};
 use crate::dcds::Dcds;
 use crate::det::{det_step_with_pre, DetState};
-use crate::do_op::{
-    do_action_indexed, legal_assignments_indexed, publish_query_stats_delta, query_stats_snapshot,
-    state_index, PreInstance,
-};
+use crate::do_op::{do_action_indexed, legal_assignments_indexed, state_index, PreInstance};
 use crate::nondet::nondet_step_with_pre;
-use crate::par::{configured_threads, par_map_obs};
+use crate::par::{configured_threads, par_map};
 use crate::term::ServiceCall;
 use crate::ts::{StateId, Ts};
-use dcds_obs::{event, span, Obs};
 use dcds_reldata::{ConstantPool, Instance, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -149,10 +149,170 @@ impl ValueOracle for SampledOracle {
     }
 }
 
+/// A state of a concrete transition system, as the bounded explorer sees
+/// it: an `⟨I, M⟩` pair under deterministic services, a bare instance under
+/// nondeterministic ones. Exploration deduplicates identical states.
+trait ConcreteState: Clone + Eq + std::hash::Hash + Sync + Send {
+    /// The state `I₀` (with the empty call map, if any).
+    fn initial(dcds: &Dcds) -> Self;
+    /// The database of the state.
+    fn instance(&self) -> &Instance;
+    /// The calls of `pre` that the oracle must answer: all of them, except
+    /// those a call map already answers.
+    fn open_calls(&self, pre: &PreInstance) -> BTreeSet<ServiceCall>;
+    /// The values known in the state (without the rigid constants).
+    fn known_values(&self) -> BTreeSet<Value>;
+    /// The successor for the oracle's answers `theta`, unless it violates
+    /// the constraints.
+    fn step(
+        &self,
+        dcds: &Dcds,
+        pre: &PreInstance,
+        theta: &BTreeMap<ServiceCall, Value>,
+    ) -> Option<Self>;
+}
+
+impl ConcreteState for DetState {
+    fn initial(dcds: &Dcds) -> Self {
+        DetState::initial(dcds)
+    }
+    fn instance(&self) -> &Instance {
+        &self.instance
+    }
+    fn open_calls(&self, pre: &PreInstance) -> BTreeSet<ServiceCall> {
+        pre.calls()
+            .into_iter()
+            .filter(|c| !self.call_map.contains_key(c))
+            .collect()
+    }
+    fn known_values(&self) -> BTreeSet<Value> {
+        DetState::known_values(self)
+    }
+    fn step(
+        &self,
+        dcds: &Dcds,
+        pre: &PreInstance,
+        theta: &BTreeMap<ServiceCall, Value>,
+    ) -> Option<Self> {
+        det_step_with_pre(dcds, self, pre, theta)
+    }
+}
+
+impl ConcreteState for Instance {
+    fn initial(dcds: &Dcds) -> Self {
+        dcds.data.initial.clone()
+    }
+    fn instance(&self) -> &Instance {
+        self
+    }
+    fn open_calls(&self, pre: &PreInstance) -> BTreeSet<ServiceCall> {
+        pre.calls()
+    }
+    fn known_values(&self) -> BTreeSet<Value> {
+        self.active_domain()
+    }
+    fn step(
+        &self,
+        dcds: &Dcds,
+        pre: &PreInstance,
+        theta: &BTreeMap<ServiceCall, Value>,
+    ) -> Option<Self> {
+        nondet_step_with_pre(dcds, pre, theta)
+    }
+}
+
 /// What the parallel enumeration phase computes per `(state, ασ)`: the
 /// pre-instance, the service calls still needing values, and the values
-/// already known to the state (for the oracle's domain).
+/// known to the state (for the oracle's domain).
 type Enumerated = (PreInstance, BTreeSet<ServiceCall>, BTreeSet<Value>);
+
+/// The level-synchronised BFS behind both explorers. Query evaluation
+/// (`DO`, the step per θ) runs in parallel over the frontier, while the
+/// oracle — which is stateful and mints from the pool — is invoked
+/// serially in exactly the order a serial loop would use, and dedup and
+/// id allocation run serially in task order. Output is identical for every
+/// `threads` value, including 1. Returns the dedup index (state → id)
+/// alongside the transition system.
+fn explore<S: ConcreteState>(
+    dcds: &Dcds,
+    limits: Limits,
+    oracle: &mut dyn ValueOracle,
+    threads: usize,
+) -> (Ts, HashMap<S, StateId>, ExploreOutcome, ConstantPool) {
+    let threads = threads.max(1);
+    let mut pool = dcds.working_pool();
+    let rigid = dcds.rigid_constants();
+    let s0 = S::initial(dcds);
+    let mut ts = Ts::new(s0.instance().clone());
+    let mut index: HashMap<S, StateId> = HashMap::new();
+    index.insert(s0.clone(), ts.initial());
+    let mut level: Vec<(StateId, S)> = vec![(ts.initial(), s0)];
+    let mut depth = 0usize;
+    let mut outcome = ExploreOutcome::Complete;
+
+    while !level.is_empty() {
+        // A non-empty level at the depth limit is exactly a serial BFS's
+        // "popped a state with depth ≥ max_depth" truncation.
+        if depth >= limits.max_depth {
+            outcome = ExploreOutcome::Truncated;
+            break;
+        }
+        // Phase 1 (parallel): `DO` and the open calls per `(state, ασ)` —
+        // pure queries, no pool access. One hash index per frontier state
+        // serves every rule condition and effect evaluated there.
+        let enumerated: Vec<Vec<Enumerated>> = par_map(&level, threads, |(_, state)| {
+            let inst = state.instance();
+            let idx = state_index(dcds, inst);
+            legal_assignments_indexed(dcds, inst, Some(&idx))
+                .into_iter()
+                .map(|(action, sigma)| {
+                    let pre = do_action_indexed(dcds, inst, action, &sigma, Some(&idx));
+                    let calls = state.open_calls(&pre);
+                    let mut known = state.known_values();
+                    known.extend(rigid.iter().copied());
+                    (pre, calls, known)
+                })
+                .collect()
+        });
+        // Phase 2 (serial): the oracle, in the serial invocation order.
+        let mut tasks: Vec<(usize, usize, BTreeMap<ServiceCall, Value>)> = Vec::new();
+        for (state_ix, per_state) in enumerated.iter().enumerate() {
+            for (pre_ix, (_, calls, known)) in per_state.iter().enumerate() {
+                for theta in oracle.evaluations(calls, known, &mut pool) {
+                    tasks.push((state_ix, pre_ix, theta));
+                }
+            }
+        }
+        // Phase 3 (parallel): one step per θ.
+        let stepped: Vec<Option<S>> = par_map(&tasks, threads, |(state_ix, pre_ix, theta)| {
+            let (pre, _, _) = &enumerated[*state_ix][*pre_ix];
+            level[*state_ix].1.step(dcds, pre, theta)
+        });
+        // Phase 4 (serial, task order): dedup, edges, next level.
+        let mut next_level: Vec<(StateId, S)> = Vec::new();
+        for ((state_ix, _, _), next) in tasks.iter().zip(stepped) {
+            let Some(next) = next else { continue };
+            let sid = level[*state_ix].0;
+            let next_id = match index.get(&next) {
+                Some(&id) => id,
+                None => {
+                    if ts.num_states() >= limits.max_states {
+                        outcome = ExploreOutcome::Truncated;
+                        continue;
+                    }
+                    let id = ts.add_state(next.instance().clone());
+                    index.insert(next.clone(), id);
+                    next_level.push((id, next));
+                    id
+                }
+            };
+            ts.add_edge(sid, next_id);
+        }
+        level = next_level;
+        depth += 1;
+    }
+    (ts, index, outcome, pool)
+}
 
 /// Result of a deterministic exploration: the transition system, the
 /// service-call map of each state, and whether the prefix is complete.
@@ -185,142 +345,19 @@ pub fn explore_det(dcds: &Dcds, limits: Limits, oracle: &mut dyn ValueOracle) ->
     explore_det_opts(dcds, limits, oracle, configured_threads())
 }
 
-/// [`explore_det`] with an explicit worker-thread count.
-///
-/// The BFS is level-synchronised and phase-split like the abstraction
-/// engine: query evaluation (`DO`, the step per θ) runs in parallel over
-/// the frontier, while the oracle — which is stateful and mints from the
-/// pool — is invoked serially in exactly the order the serial engine would
-/// use. Output is identical for every `threads` value, including 1.
+/// [`explore_det`] with an explicit worker-thread count. Output is
+/// identical for every `threads` value, including 1.
 pub fn explore_det_opts(
     dcds: &Dcds,
     limits: Limits,
     oracle: &mut dyn ValueOracle,
     threads: usize,
 ) -> DetExploration {
-    explore_det_traced(dcds, limits, oracle, threads, &Obs::disabled())
-}
-
-/// [`explore_det_opts`] with an observability handle: per-level spans,
-/// frontier-size metrics, and rate-limited heartbeats. A disabled handle
-/// makes this exactly `explore_det_opts`.
-pub fn explore_det_traced(
-    dcds: &Dcds,
-    limits: Limits,
-    oracle: &mut dyn ValueOracle,
-    threads: usize,
-    obs: &Obs,
-) -> DetExploration {
-    let _run = span!(obs, "explore_det", threads = threads);
-    let query_stats0 = query_stats_snapshot(dcds);
-    let threads = threads.max(1);
-    let mut pool = dcds.working_pool();
-    let rigid = dcds.rigid_constants();
-    let s0 = DetState::initial(dcds);
-    let mut ts = Ts::new(s0.instance.clone());
-    let mut call_maps = vec![s0.call_map.clone()];
-    let mut index: HashMap<DetState, StateId> = HashMap::new();
-    index.insert(s0.clone(), ts.initial());
-    let mut level: Vec<(StateId, DetState)> = vec![(ts.initial(), s0)];
-    let mut depth = 0usize;
-    let mut outcome = ExploreOutcome::Complete;
-
-    while !level.is_empty() {
-        // A non-empty level at the depth limit is exactly the serial
-        // engine's "popped a state with depth ≥ max_depth" truncation.
-        if depth >= limits.max_depth {
-            outcome = ExploreOutcome::Truncated;
-            break;
-        }
-        let mut level_span = span!(obs, "explore_level", depth = depth, frontier = level.len());
-        obs.histogram("explore.frontier_states", level.len() as u64);
-        obs.gauge_max("explore.max_frontier", level.len() as i64);
-        obs.heartbeat(|| {
-            format!(
-                "explore depth {depth}: frontier {}, {} states total",
-                level.len(),
-                ts.num_states()
-            )
-        });
-        // Phase 1 (parallel): `DO` and the not-yet-mapped calls per
-        // `(state, ασ)` — pure queries, no pool access. One hash index per
-        // frontier state serves every rule condition and effect evaluated
-        // there.
-        let enumerated: Vec<Vec<Enumerated>> =
-            par_map_obs(&level, threads, obs, "enumerate", |(_, state)| {
-                let idx = state_index(dcds, &state.instance);
-                legal_assignments_indexed(dcds, &state.instance, Some(&idx))
-                    .into_iter()
-                    .map(|(action, sigma)| {
-                        let pre =
-                            do_action_indexed(dcds, &state.instance, action, &sigma, Some(&idx));
-                        let new_calls: BTreeSet<ServiceCall> = pre
-                            .calls()
-                            .into_iter()
-                            .filter(|c| !state.call_map.contains_key(c))
-                            .collect();
-                        let mut known = state.known_values();
-                        known.extend(rigid.iter().copied());
-                        (pre, new_calls, known)
-                    })
-                    .collect()
-            });
-        // Phase 2 (serial): the oracle, in the serial invocation order.
-        let mut tasks: Vec<(usize, usize, BTreeMap<ServiceCall, Value>)> = Vec::new();
-        for (state_ix, per_state) in enumerated.iter().enumerate() {
-            for (pre_ix, (_, new_calls, known)) in per_state.iter().enumerate() {
-                for theta in oracle.evaluations(new_calls, known, &mut pool) {
-                    tasks.push((state_ix, pre_ix, theta));
-                }
-            }
-        }
-        // Phase 3 (parallel): one step per θ.
-        let stepped: Vec<Option<DetState>> =
-            par_map_obs(&tasks, threads, obs, "step", |(state_ix, pre_ix, theta)| {
-                let (_, state) = &level[*state_ix];
-                let (pre, _, _) = &enumerated[*state_ix][*pre_ix];
-                det_step_with_pre(dcds, state, pre, theta)
-            });
-        // Phase 4 (serial, task order): dedup, edges, next level.
-        let mut next_level: Vec<(StateId, DetState)> = Vec::new();
-        for ((state_ix, _, _), next) in tasks.iter().zip(stepped) {
-            let Some(next) = next else { continue };
-            let sid = level[*state_ix].0;
-            let next_id = match index.get(&next) {
-                Some(&id) => id,
-                None => {
-                    if ts.num_states() >= limits.max_states {
-                        outcome = ExploreOutcome::Truncated;
-                        continue;
-                    }
-                    let id = ts.add_state(next.instance.clone());
-                    call_maps.push(next.call_map.clone());
-                    index.insert(next.clone(), id);
-                    next_level.push((id, next));
-                    id
-                }
-            };
-            ts.add_edge(sid, next_id);
-        }
-        obs.counter_add("explore.states_expanded", level.len() as u64);
-        obs.counter_add("explore.tasks_stepped", tasks.len() as u64);
-        level_span.set("new_states", next_level.len() as u64);
-        event!(
-            obs,
-            "level",
-            engine = "explore_det",
-            level = depth,
-            frontier = level.len(),
-            tasks = tasks.len(),
-            new_states = next_level.len(),
-            states = ts.num_states(),
-        );
-        level = next_level;
-        depth += 1;
+    let (ts, index, outcome, pool) = explore::<DetState>(dcds, limits, oracle, threads);
+    let mut call_maps = vec![BTreeMap::new(); ts.num_states()];
+    for (state, id) in index {
+        call_maps[id.index()] = state.call_map;
     }
-    obs.counter_add("explore.levels", depth as u64);
-    publish_query_stats_delta(dcds, obs, &query_stats0);
-    obs.progress_flush(|| format!("explore done: {} states, {depth} levels", ts.num_states()));
     DetExploration {
         ts,
         call_maps,
@@ -339,118 +376,15 @@ pub fn explore_nondet(
     explore_nondet_opts(dcds, limits, oracle, configured_threads())
 }
 
-/// [`explore_nondet`] with an explicit worker-thread count; same phase
-/// split and determinism contract as [`explore_det_opts`].
+/// [`explore_nondet`] with an explicit worker-thread count; same
+/// determinism contract as [`explore_det_opts`].
 pub fn explore_nondet_opts(
     dcds: &Dcds,
     limits: Limits,
     oracle: &mut dyn ValueOracle,
     threads: usize,
 ) -> NondetExploration {
-    explore_nondet_traced(dcds, limits, oracle, threads, &Obs::disabled())
-}
-
-/// [`explore_nondet_opts`] with an observability handle; same contract as
-/// [`explore_det_traced`].
-pub fn explore_nondet_traced(
-    dcds: &Dcds,
-    limits: Limits,
-    oracle: &mut dyn ValueOracle,
-    threads: usize,
-    obs: &Obs,
-) -> NondetExploration {
-    let _run = span!(obs, "explore_nondet", threads = threads);
-    let query_stats0 = query_stats_snapshot(dcds);
-    let threads = threads.max(1);
-    let mut pool = dcds.working_pool();
-    let rigid = dcds.rigid_constants();
-    let mut ts = Ts::new(dcds.data.initial.clone());
-    let mut index: HashMap<Instance, StateId> = HashMap::new();
-    index.insert(dcds.data.initial.clone(), ts.initial());
-    let mut level: Vec<(StateId, Instance)> = vec![(ts.initial(), dcds.data.initial.clone())];
-    let mut depth = 0usize;
-    let mut outcome = ExploreOutcome::Complete;
-
-    while !level.is_empty() {
-        if depth >= limits.max_depth {
-            outcome = ExploreOutcome::Truncated;
-            break;
-        }
-        let mut level_span = span!(obs, "explore_level", depth = depth, frontier = level.len());
-        obs.histogram("explore.frontier_states", level.len() as u64);
-        obs.gauge_max("explore.max_frontier", level.len() as i64);
-        obs.heartbeat(|| {
-            format!(
-                "explore depth {depth}: frontier {}, {} states total",
-                level.len(),
-                ts.num_states()
-            )
-        });
-        let enumerated: Vec<Vec<Enumerated>> =
-            par_map_obs(&level, threads, obs, "enumerate", |(_, inst)| {
-                let idx = state_index(dcds, inst);
-                legal_assignments_indexed(dcds, inst, Some(&idx))
-                    .into_iter()
-                    .map(|(action, sigma)| {
-                        let pre = do_action_indexed(dcds, inst, action, &sigma, Some(&idx));
-                        let calls = pre.calls();
-                        let mut known = inst.active_domain();
-                        known.extend(rigid.iter().copied());
-                        (pre, calls, known)
-                    })
-                    .collect()
-            });
-        let mut tasks: Vec<(usize, usize, BTreeMap<ServiceCall, Value>)> = Vec::new();
-        for (state_ix, per_state) in enumerated.iter().enumerate() {
-            for (pre_ix, (_, calls, known)) in per_state.iter().enumerate() {
-                for theta in oracle.evaluations(calls, known, &mut pool) {
-                    tasks.push((state_ix, pre_ix, theta));
-                }
-            }
-        }
-        let stepped: Vec<Option<Instance>> =
-            par_map_obs(&tasks, threads, obs, "step", |(state_ix, pre_ix, theta)| {
-                let (pre, _, _) = &enumerated[*state_ix][*pre_ix];
-                nondet_step_with_pre(dcds, pre, theta)
-            });
-        let mut next_level: Vec<(StateId, Instance)> = Vec::new();
-        for ((state_ix, _, _), next) in tasks.iter().zip(stepped) {
-            let Some(next) = next else { continue };
-            let sid = level[*state_ix].0;
-            let next_id = match index.get(&next) {
-                Some(&id) => id,
-                None => {
-                    if ts.num_states() >= limits.max_states {
-                        outcome = ExploreOutcome::Truncated;
-                        continue;
-                    }
-                    let id = ts.add_state(next.clone());
-                    index.insert(next.clone(), id);
-                    next_level.push((id, next));
-                    id
-                }
-            };
-            ts.add_edge(sid, next_id);
-        }
-        obs.counter_add("explore.states_expanded", level.len() as u64);
-        obs.counter_add("explore.tasks_stepped", tasks.len() as u64);
-        level_span.set("new_states", next_level.len() as u64);
-        event!(
-            obs,
-            "level",
-            engine = "explore_nondet",
-            level = depth,
-            frontier = level.len(),
-            tasks = tasks.len(),
-            new_states = next_level.len(),
-            states = ts.num_states(),
-        );
-        level = next_level;
-        depth += 1;
-    }
-    obs.counter_add("explore.levels", depth as u64);
-    publish_query_stats_delta(dcds, obs, &query_stats0);
-    obs.progress_flush(|| format!("explore done: {} states, {depth} levels", ts.num_states()));
+    let (ts, _, outcome, pool) = explore::<Instance>(dcds, limits, oracle, threads);
     NondetExploration { ts, outcome, pool }
 }
 

@@ -16,10 +16,12 @@
 //! constants and *ground service calls* (Skolem terms, [`term`]) — and then
 //! resolves the calls, either **deterministically** (service-call maps,
 //! Section 4.1, [`det`]) or **nondeterministically** (evaluations, Section
-//! 5.1, [`nondet`]). Both semantics induce a (generally infinite) concrete
-//! transition system; [`ts`] holds the explicit finite transition systems we
+//! 5.1, [`nondet`]). `DO` answers every effect query `q⁺` through one
+//! compiled plan per effect, which [`Dcds::validate`] guarantees exists.
+//! Both semantics induce a (generally infinite) concrete transition
+//! system; [`ts`] holds the explicit finite transition systems we
 //! materialise, and [`explore`] performs bounded concrete exploration with
-//! pluggable value oracles.
+//! pluggable value oracles — one BFS shared by both semantics.
 //!
 //! [`commitment`] implements *equality commitments* (Appendix C.3), the
 //! device by which the infinitely many successor evaluations are grouped
@@ -62,8 +64,7 @@ pub use do_op::{
     PlanCache, PreInstance,
 };
 pub use explore::{
-    explore_det, explore_det_opts, explore_det_traced, explore_nondet, explore_nondet_opts,
-    explore_nondet_traced, ExploreOutcome, Limits,
+    explore_det, explore_det_opts, explore_nondet, explore_nondet_opts, ExploreOutcome, Limits,
 };
 pub use par::{configured_threads, par_map, par_map_obs, par_map_with, EngineCounters};
 pub use parser::parse_dcds;

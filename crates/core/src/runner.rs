@@ -18,6 +18,9 @@ use dcds_folang::Assignment;
 use dcds_reldata::{ConstantPool, Instance, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// The error of a step whose parameter assignment is not legal.
+const NOT_LEGAL: &str = "the parameter assignment is not legal in this state";
+
 /// How service calls are answered when the caller does not supply values.
 #[derive(Debug, Clone, Copy)]
 pub enum AnswerPolicy {
@@ -92,10 +95,25 @@ impl Runner {
         legal_assignments(&self.dcds, &self.det_state.instance)
     }
 
+    /// Is `(action, σ)` executable in the current state?
+    fn is_legal(&self, action: ActionId, sigma: &Assignment) -> bool {
+        self.available()
+            .iter()
+            .any(|(a, s)| *a == action && s == sigma)
+    }
+
     /// The calls the given `(action, σ)` would issue that still need an
     /// answer (for deterministic services, calls already in the map are
-    /// answered by history).
+    /// answered by history). Empty when `(action, σ)` is not legal here.
     pub fn pending_calls(&self, action: ActionId, sigma: &Assignment) -> BTreeSet<ServiceCall> {
+        if !self.is_legal(action, sigma) {
+            return BTreeSet::new();
+        }
+        self.open_calls(action, sigma)
+    }
+
+    /// [`Runner::pending_calls`] for a `(action, σ)` known to be legal.
+    fn open_calls(&self, action: ActionId, sigma: &Assignment) -> BTreeSet<ServiceCall> {
         let pre = do_action(&self.dcds, &self.det_state.instance, action, sigma);
         pre.calls()
             .into_iter()
@@ -119,13 +137,19 @@ impl Runner {
         sigma: &Assignment,
         answers: &BTreeMap<ServiceCall, Value>,
     ) -> Result<&StepRecord, String> {
-        if !self
-            .available()
-            .iter()
-            .any(|(a, s)| *a == action && s == sigma)
-        {
-            return Err("the parameter assignment is not legal in this state".to_owned());
+        if !self.is_legal(action, sigma) {
+            return Err(NOT_LEGAL.to_owned());
         }
+        self.step_legal(action, sigma, answers)
+    }
+
+    /// [`Runner::step_with`] for a `(action, σ)` known to be legal.
+    fn step_legal(
+        &mut self,
+        action: ActionId,
+        sigma: &Assignment,
+        answers: &BTreeMap<ServiceCall, Value>,
+    ) -> Result<&StepRecord, String> {
         if self.dcds.is_deterministic() {
             let next = det_step(&self.dcds, &self.det_state, action, sigma, answers)
                 .ok_or("step rejected: missing answers or constraint violation")?;
@@ -173,8 +197,13 @@ impl Runner {
     }
 
     /// Execute `(action, σ)`, answering pending calls per the policy.
+    /// Returns an error, without answering any call, when the assignment is
+    /// not legal.
     pub fn step(&mut self, action: ActionId, sigma: &Assignment) -> Result<&StepRecord, String> {
-        let pending = self.pending_calls(action, sigma);
+        if !self.is_legal(action, sigma) {
+            return Err(NOT_LEGAL.to_owned());
+        }
+        let pending = self.open_calls(action, sigma);
         let mut answers = BTreeMap::new();
         match self.policy {
             AnswerPolicy::AlwaysFresh => {
@@ -195,7 +224,7 @@ impl Runner {
                 }
             }
         }
-        self.step_with(action, sigma, &answers)
+        self.step_legal(action, sigma, &answers)
     }
 
     /// Execute the first available `(action, σ)` (deterministic order), or
@@ -326,5 +355,34 @@ mod tests {
         sigma.insert(dcds_folang::Var::new("X"), Value::from_index(0));
         let alpha = runner.dcds().action_id("alpha").unwrap();
         assert!(runner.step_with(alpha, &sigma, &BTreeMap::new()).is_err());
+    }
+
+    #[test]
+    fn sigma_missing_a_parameter_is_not_legal() {
+        // alpha(X) needs X; an empty σ is no legal assignment. The runner
+        // must say so before evaluating any effect under it.
+        let dcds = DcdsBuilder::new()
+            .relation("P", 1)
+            .relation("R", 1)
+            .service("f", 1, ServiceKind::Deterministic)
+            .init_fact("P", &["a"])
+            .action("alpha", &["X"], |a| {
+                a.effect("P(Y)", "P(Y), R(f(X))");
+            })
+            .rule("P(X)", "alpha")
+            .build()
+            .unwrap();
+        let mut runner = Runner::new(dcds, AnswerPolicy::Random { seed: 3 });
+        let alpha = runner.dcds().action_id("alpha").unwrap();
+        let empty = Assignment::new();
+        assert!(runner.pending_calls(alpha, &empty).is_empty());
+        let err = runner.step(alpha, &empty).unwrap_err();
+        assert_eq!(err, NOT_LEGAL);
+        assert!(runner.history().is_empty());
+        assert_eq!(runner.pool().len(), runner.dcds().data.pool.len());
+        // The legal σ still runs.
+        let (action, sigma) = runner.available().into_iter().next().unwrap();
+        assert_eq!(runner.pending_calls(action, &sigma).len(), 1);
+        runner.step(action, &sigma).unwrap();
     }
 }

@@ -1,12 +1,14 @@
 //! Join-based evaluation of (unions of) conjunctive queries.
 //!
 //! The reference evaluator in [`crate::eval`] enumerates assignments over the
-//! active domain, which is exponential in the number of variables. For the
-//! positive parts `q+` of effect specifications — evaluated at every
-//! transition of the concrete and abstract transition systems — we instead
-//! join atom by atom, which is the standard worst-case-adequate strategy for
-//! CQs. Property tests in `tests/eval_agreement.rs` check the two evaluators
-//! agree on random UCQs.
+//! active domain, which is exponential in the number of variables. This
+//! module instead joins atom by atom, which is the standard
+//! worst-case-adequate strategy for CQs. It is not on any engine's path —
+//! the positive parts `q+` of effect specifications run as compiled plans
+//! ([`crate::plan`]) — and is kept as the nested-loop oracle and baseline
+//! that the plan differential tests and benchmarks compare against.
+//! Property tests in `tests/eval_agreement.rs` check it agrees with the
+//! reference evaluator on random UCQs.
 
 use crate::ast::{Assignment, QTerm, Var};
 use crate::ucq::{ConjunctiveQuery, Ucq};

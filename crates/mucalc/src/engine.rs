@@ -225,8 +225,9 @@ pub fn eval_with_opts(
     eval_traced(f, ts, val, opts, &Obs::disabled())
 }
 
-/// [`eval_with_opts`] with an observability handle.
-pub fn eval_traced(
+/// [`eval_with_opts`] with an observability handle (the body of
+/// [`check_traced`]).
+fn eval_traced(
     f: &Mu,
     ts: &Ts,
     val: &mut Valuation,

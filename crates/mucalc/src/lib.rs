@@ -45,8 +45,7 @@ pub mod sugar;
 pub use ast::{Mu, PredVar};
 pub use diagnostics::{counterexample_ag, witness_ef};
 pub use engine::{
-    check_traced, check_with_opts, eval_traced, eval_with_opts, CheckError, McCounters, McOptions,
-    McRun,
+    check_traced, check_with_opts, eval_with_opts, CheckError, McCounters, McOptions, McRun,
 };
 pub use fragments::{classify, Fragment, FragmentError};
 pub use mc::{check, eval, Valuation};

@@ -162,8 +162,26 @@ fn check_format_json_is_one_object_on_stdout() {
     assert!(line.starts_with("{\"fragment\":"), "{line}");
     assert!(line.ends_with('}'), "{line}");
     assert!(line.contains("\"abstraction\":{\"how\":"), "{line}");
-    assert!(
-        line.contains("\"engine_counters\":{\"states_expanded\":"),
+    // The full engine-counter key set, in order.
+    let counters = line
+        .split_once("\"engine_counters\":{")
+        .and_then(|(_, rest)| rest.split_once('}'))
+        .map(|(body, _)| body)
+        .unwrap_or_else(|| panic!("no engine_counters object: {line}"));
+    let keys: Vec<&str> = counters
+        .split(',')
+        .map(|kv| kv.split_once(':').map_or(kv, |(k, _)| k).trim_matches('"'))
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "states_expanded",
+            "successors_generated",
+            "canon_keys_computed",
+            "sig_filter_skips",
+            "canon_orders_enumerated",
+            "canon_prune_cutoffs",
+        ],
         "{line}"
     );
     assert!(
